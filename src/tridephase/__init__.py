@@ -6,23 +6,22 @@ exact memoryless rates or the full finite-memory kernels of an ohmic
 spectral density with exponential cutoff.  Coherence is tracked through
 the relative entropy of coherence in the computational basis.
 
-Layered bottom-up: ``numerics`` (quadrature, eigensolver, fixed-step
-integrator), ``bath`` (spectral density and decoherence kernels),
-``states`` (the state catalog), ``dynamics`` (two independent propagation
-engines), ``measures`` (entropy and coherence), ``runner``/``cli``
-(scenario configs and CSV output).
+Layered bottom-up: ``numerics`` (log-gamma and digamma series, eigensolver,
+fixed-step integrator, time validation), ``bath`` (spectral density and
+closed-form decoherence kernels), ``states`` (the state catalog),
+``dynamics`` (two independent propagation engines), ``measures`` (entropy
+and coherence), ``runner``/``cli`` (scenario configs and CSV output).
 """
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
-                   DecoherenceKernels, cumulative_decoherence, dephasing_rate,
-                   lamb_kernel, make_kernels, markov_rate, spectral_density)
+                   cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate,
+                   spectral_density)
 from .dynamics import (ENGINES, OMEGA0, PropagatorSpec, coherence_trace,
                        decoherence_exponent, propagate, propagate_grid)
 from .measures import (CoherenceTrace, dephase, l1_coherence,
                        rel_entropy_coherence, von_neumann_entropy)
-from .numerics import (HermitianEig, PropagationError, QuadratureConvergenceError,
-                       QuadratureSpec, hermitian_eigendecomposition,
-                       integrate_semi_infinite, ode_propagate)
+from .numerics import (HermitianEig, PropagationError, hermitian_eigendecomposition,
+                       ode_propagate)
 from .runner import (ConfigError, RunResult, ScenarioConfig, parse_config,
                      reproduce, run_scenarios, trace_csv_bytes)
 from .states import (MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES,
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BathSpec", "DecoherenceKernels", "spectral_density", "markov_rate",
-    "dephasing_rate", "cumulative_decoherence", "lamb_kernel", "make_kernels",
+    "BathSpec", "spectral_density", "markov_rate",
+    "dephasing_rate", "cumulative_decoherence", "lamb_kernel",
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
     "StateSpec", "StateReport", "make_state", "state_vector", "validate",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
@@ -41,7 +40,6 @@ __all__ = [
     "coherence_trace", "ENGINES", "OMEGA0",
     "von_neumann_entropy", "dephase", "rel_entropy_coherence", "l1_coherence",
     "CoherenceTrace",
-    "QuadratureSpec", "QuadratureConvergenceError", "integrate_semi_infinite",
     "HermitianEig", "hermitian_eigendecomposition",
     "PropagationError", "ode_propagate",
     "ScenarioConfig", "RunResult", "ConfigError", "parse_config",

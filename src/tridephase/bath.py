@@ -12,20 +12,28 @@ and the kernels are
     mu(t)    = int_0^inf J(w) (1 - cos(w t)) / w dw
     M(t)     = int_0^t mu(s) ds               (big_m below)
 
-In the Markov limit the flat rate gamma0 = 4 pi eta kbt replaces gamma(t)
-and Gamma(t) becomes exactly gamma0 * t.
+Expanding coth(w / 2 kbt) = 1 + 2 sum_n exp(-n w / kbt) turns the first two
+into sums of elementary integrals, which add up to the standard spin-boson
+decoherence function (Breuer & Petruccione, Theory of Open Quantum Systems
+4.2; Reina, Quiroga & Johnson, PRA 65, 032326 (2002)).  With
+c = kbt / lambda_cutoff and y = kbt t:
+
+    gamma(t) = 2 eta (2 kbt Im psi(c + i y) - t / (lambda^-2 + t^2))
+    Gamma(t) = -eta (4 Re[ln Gamma(c + i y) - ln Gamma(c)] + log1p(lambda^2 t^2))
+
+Every kernel takes a time or an array of times and returns the same shape.
+In the Markov limit the flat rate gamma0 = 4 pi eta kbt replaces gamma(t),
+Gamma(t) becomes exactly gamma0 * t, and the Lamb-shift kernels vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate_semi_infinite
+from .numerics import check_time, digamma_im, loggamma_re_diff
 
 __all__ = [
     "DEFAULT_ETA",
@@ -34,13 +42,11 @@ __all__ = [
     "TOPOLOGIES",
     "MEMORIES",
     "BathSpec",
-    "DecoherenceKernels",
     "spectral_density",
     "markov_rate",
     "dephasing_rate",
     "cumulative_decoherence",
     "lamb_kernel",
-    "make_kernels",
 ]
 
 DEFAULT_ETA = 0.1
@@ -49,10 +55,6 @@ DEFAULT_KBT = 1.0 / (4.0 * math.pi)
 
 TOPOLOGIES = ("local", "common")
 MEMORIES = ("markov", "non_markov")
-
-# Below this x the series coth(x) = 1/x + x/3 is exact to machine precision
-# (the dropped x^3/45 term is relatively ~x^4/45 < 1e-13).
-_COTH_SERIES_X = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,23 +86,6 @@ class BathSpec:
             raise ValueError(f"memory must be one of {MEMORIES}, got {self.memory!r}")
 
 
-@dataclass(frozen=True)
-class DecoherenceKernels:
-    """The four scalar kernels driving the dephasing master equations."""
-
-    gamma: Callable[[float], float]
-    big_gamma: Callable[[float], float]
-    mu: Callable[[float], float]
-    big_m: Callable[[float], float]
-
-
-def _check_time(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    return t
-
-
 def spectral_density(spec: BathSpec, omega):
     """Ohmic J(w) with exponential cutoff; scalar or ndarray in, same out."""
     w = np.asarray(omega, dtype=float)
@@ -115,81 +100,31 @@ def markov_rate(spec: BathSpec) -> float:
     return 4.0 * math.pi * spec.eta * spec.kbt
 
 
-def _kernel_quad(lam: float) -> QuadratureSpec:
-    return QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, cutoff_hint=lam, max_subdivisions=4000)
+def dephasing_rate(spec: BathSpec, t):
+    """Time-dependent dephasing rate gamma(t): gamma0 for a Markov bath."""
+    t = check_time(t)
+    if spec.memory == "markov":
+        return markov_rate(spec) + 0.0 * t  # shaped like t
+    lam, kbt = spec.lambda_cutoff, spec.kbt
+    return 2.0 * spec.eta * (2.0 * kbt * digamma_im(kbt / lam, kbt * t) - t / (lam ** -2 + t * t))
 
 
-def _gamma_integrand(eta: float, lam: float, kbt: float, t: float) -> Callable:
-    def integrand(w: np.ndarray) -> np.ndarray:
-        x = w / (2.0 * kbt)
-        out = np.empty_like(w)
-        small = x < _COTH_SERIES_X
-        ws = w[small]
-        # the coth pole is removed against sin(w t) analytically
-        out[small] = 2.0 * kbt * t * np.sinc(ws * t / np.pi) + ws / (6.0 * kbt) * np.sin(ws * t)
-        wl = w[~small]
-        out[~small] = np.sin(wl * t) / np.tanh(x[~small])
-        return 2.0 * eta * np.exp(-w / lam) * out
-    return integrand
-
-
-def _big_gamma_integrand(eta: float, lam: float, kbt: float, t: float) -> Callable:
-    def integrand(w: np.ndarray) -> np.ndarray:
-        # 1 - cos(w t) kept as 2 sin^2(w t / 2) for accuracy near w = 0
-        x = w / (2.0 * kbt)
-        out = np.empty_like(w)
-        small = x < _COTH_SERIES_X
-        ws = w[small]
-        sin_over_w = (t / 2.0) * np.sinc(ws * t / (2.0 * np.pi))
-        out[small] = 4.0 * kbt * sin_over_w ** 2 + np.sin(ws * t / 2.0) ** 2 / (3.0 * kbt)
-        wl = w[~small]
-        out[~small] = 2.0 * np.sin(wl * t / 2.0) ** 2 / (wl * np.tanh(x[~small]))
-        return 2.0 * eta * np.exp(-w / lam) * out
-    return integrand
-
-
-@lru_cache(maxsize=None)
-def _gamma_cached(eta: float, lam: float, kbt: float, t: float) -> float:
-    return integrate_semi_infinite(_gamma_integrand(eta, lam, kbt, t), _kernel_quad(lam))
-
-
-@lru_cache(maxsize=None)
-def _big_gamma_cached(eta: float, lam: float, kbt: float, t: float) -> float:
-    return integrate_semi_infinite(_big_gamma_integrand(eta, lam, kbt, t), _kernel_quad(lam))
-
-
-def dephasing_rate(spec: BathSpec, t, quad: QuadratureSpec | None = None) -> float:
-    """Time-dependent dephasing rate gamma(t), by quadrature.
-
-    Results for the default quadrature settings are memoized per
-    (eta, lambda_cutoff, kbt, t), so repeated sweeps over one bath are cheap.
-    """
-    t = _check_time(t)
-    if t == 0.0 or spec.eta == 0.0:
-        return 0.0
-    if quad is None:
-        return _gamma_cached(spec.eta, spec.lambda_cutoff, spec.kbt, t)
-    return integrate_semi_infinite(_gamma_integrand(spec.eta, spec.lambda_cutoff, spec.kbt, t), quad)
-
-
-def cumulative_decoherence(spec: BathSpec, t, quad: QuadratureSpec | None = None) -> float:
+def cumulative_decoherence(spec: BathSpec, t):
     """Gamma(t), the integral of the dephasing rate from 0 to t.
 
-    Markov memory returns exactly gamma0 * t; non-Markov memory evaluates the
-    (1 - cos) form of the integral directly rather than integrating gamma(t).
+    Markov memory returns exactly gamma0 * t.  Non-Markov memory uses the
+    log-gamma form, an independent series from the digamma one behind
+    :func:`dephasing_rate`, so each can be checked against the other.
     """
-    t = _check_time(t)
+    t = check_time(t)
     if spec.memory == "markov":
         return markov_rate(spec) * t
-    if t == 0.0 or spec.eta == 0.0:
-        return 0.0
-    if quad is None:
-        return _big_gamma_cached(spec.eta, spec.lambda_cutoff, spec.kbt, t)
-    return integrate_semi_infinite(_big_gamma_integrand(spec.eta, spec.lambda_cutoff, spec.kbt, t), quad)
+    lam, kbt = spec.lambda_cutoff, spec.kbt
+    return -spec.eta * (4.0 * loggamma_re_diff(kbt / lam, kbt * t) + np.log1p((lam * t) ** 2))
 
 
-def lamb_kernel(spec: BathSpec, t) -> tuple[float, float]:
-    """Lamb-shift kernels (mu(t), M(t)) in closed form.
+def lamb_kernel(spec: BathSpec, t):
+    """Lamb-shift kernels (mu(t), M(t)) in closed form; zero for a Markov bath.
 
     For the exponentially cut off Ohmic density the frequency integrals are
     elementary:
@@ -197,26 +132,11 @@ def lamb_kernel(spec: BathSpec, t) -> tuple[float, float]:
         mu(t) = eta * lam^3 t^2 / (1 + lam^2 t^2)
         M(t)  = eta * (lam t - arctan(lam t))
     """
-    t = _check_time(t)
+    t = check_time(t)
+    if spec.memory == "markov":
+        zero = 0.0 * t
+        return zero, zero
     lam = spec.lambda_cutoff
     mu = spec.eta * lam ** 3 * t * t / (1.0 + lam * lam * t * t)
-    big_m = spec.eta * (lam * t - math.atan(lam * t))
+    big_m = spec.eta * (lam * t - np.arctan(lam * t))
     return mu, big_m
-
-
-def make_kernels(spec: BathSpec) -> DecoherenceKernels:
-    """Kernel bundle matching the bath's memory mode."""
-    if spec.memory == "markov":
-        g0 = markov_rate(spec)
-        return DecoherenceKernels(
-            gamma=lambda t: g0,
-            big_gamma=lambda t: g0 * _check_time(t),
-            mu=lambda t: 0.0,
-            big_m=lambda t: 0.0,
-        )
-    return DecoherenceKernels(
-        gamma=lambda t: dephasing_rate(spec, t),
-        big_gamma=lambda t: cumulative_decoherence(spec, t),
-        mu=lambda t: lamb_kernel(spec, t)[0],
-        big_m=lambda t: lamb_kernel(spec, t)[1],
-    )

@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="directory for CSV output (default: current)")
     common.add_argument("--engine", choices=sorted(set(ENGINE_ALIASES)), default=None,
                         help="override the propagation engine for every scenario")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     common.add_argument("--points", type=int, default=None,
                         help="override the number of grid points per trace")
 
@@ -84,22 +83,17 @@ def main(argv=None) -> int:
             print(f"{name:<{width}}  {summary}")
         return 0
 
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
-
     try:
         if args.command == "run":
             text = Path(args.config).read_text(encoding="utf-8")
             scenarios = _apply_overrides(parse_config(text), args.engine, args.points)
-            results = run_scenarios(scenarios, args.out_dir, threads=args.threads)
+            results = run_scenarios(scenarios, args.out_dir)
         else:
             engine = args.engine if args.engine is not None else "closed_form"
             points = args.points if args.points is not None else DEFAULT_N_POINTS
             if points < 2:
                 raise ConfigError(f"--points must be >= 2, got {points}")
-            results = reproduce(args.figure, args.out_dir, engine=engine,
-                                threads=args.threads, n_points=points)
+            results = reproduce(args.figure, args.out_dir, engine=engine, n_points=points)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

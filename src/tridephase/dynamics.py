@@ -18,14 +18,13 @@ coherence measure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, make_kernels, markov_rate
+from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from .measures import CoherenceTrace, rel_entropy_coherence
-from .numerics import ode_propagate
+from .numerics import check_time, ode_propagate
 from .states import StateSpec, make_state, validate
 
 __all__ = [
@@ -82,13 +81,6 @@ def hamming(m: int, n: int) -> int:
     return int(_HAMMING[_check_index(m), _check_index(n)])
 
 
-def _check_time(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    return t
-
-
 def _check_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     report = validate(rho)
@@ -114,19 +106,26 @@ def _check_output(rho: np.ndarray, t: float) -> None:
             f"min eigenvalue {report.min_eigenvalue:.3e}")
 
 
-def _exponent_matrix(bspec: BathSpec, t: float, include_lamb_phase: bool = True) -> np.ndarray:
-    kernels = make_kernels(bspec)
+def _exponents(bspec: BathSpec, times: np.ndarray, include_lamb_phase: bool = True) -> np.ndarray:
+    """log of the factor multiplying rho_mn(0), shape (len(times), 8, 8).
+
+    One kernel call covers the whole grid; the broadcast expression applies
+    the same operations in the same order to each sample.
+    """
+    t = times[:, None, None]
+    big_gamma = cumulative_decoherence(bspec, times)[:, None, None]
     dz = _Z[:, None] - _Z[None, :]
     expo = (-0.5j * OMEGA0 * t) * dz
     if bspec.topology == "common":
-        expo = expo - (dz.astype(float) ** 2 / 2.0) * kernels.big_gamma(t)
+        expo = expo - (dz.astype(float) ** 2 / 2.0) * big_gamma
         if include_lamb_phase:
+            big_m = lamb_kernel(bspec, times)[1][:, None, None]
             zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
-            expo = expo + (1j * kernels.big_m(t)) * zsq
+            expo = expo + (1j * big_m) * zsq
     else:
         # per-qubit sum; the three baths are identical here, but the structure
         # admits qubit-dependent kernels
-        big_gammas = [kernels.big_gamma(t)] * 3
+        big_gammas = [big_gamma] * 3
         damp = sum(2.0 * (_BITS[:, None, i] != _BITS[None, :, i]) * big_gammas[i] for i in range(3))
         expo = expo - damp
     return expo
@@ -136,8 +135,8 @@ def decoherence_exponent(spec: PropagatorSpec, m: int, n: int, t, include_lamb_p
     """log of the factor multiplying rho_mn(0) at time t (0 on the diagonal)."""
     m = _check_index(m)
     n = _check_index(n)
-    t = _check_time(t)
-    return complex(_exponent_matrix(spec.bath, t, include_lamb_phase)[m, n])
+    t = check_time(t)
+    return complex(_exponents(spec.bath, np.array([t]), include_lamb_phase)[0, m, n])
 
 
 def _internal_step(bspec: BathSpec, times: np.ndarray) -> float:
@@ -153,7 +152,6 @@ def _internal_step(bspec: BathSpec, times: np.ndarray) -> float:
 def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
               include_lamb_phase: bool = True) -> np.ndarray:
     bspec = spec.bath
-    kernels = make_kernels(bspec)
     h_mat = np.diag((0.5 * OMEGA0) * _Z).astype(complex)
 
     if bspec.topology == "common":
@@ -161,8 +159,8 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
         sz2 = sz @ sz
 
         def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            g = kernels.gamma(t)
-            mu = kernels.mu(t) if include_lamb_phase else 0.0
+            g = dephasing_rate(bspec, t)
+            mu = lamb_kernel(bspec, t)[0] if include_lamb_phase else 0.0
             alpha = 0.5 * g - 1j * mu
             return (-1j * (h_mat @ rho - rho @ h_mat)
                     + g * (sz @ rho @ sz)
@@ -172,7 +170,7 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
         sz_locals = [np.diag((1.0 - 2.0 * _BITS[:, i]).astype(complex)) for i in range(3)]
 
         def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            g = kernels.gamma(t)
+            g = dephasing_rate(bspec, t)
             out = -1j * (h_mat @ rho - rho @ h_mat)
             for s in sz_locals:
                 out = out + g * (s @ rho @ s - rho)
@@ -196,17 +194,10 @@ def propagate_grid(spec: PropagatorSpec, rho0, times, include_lamb_phase: bool =
     Returns an (n, 8, 8) array of density matrices, one per grid point, each
     checked against the state invariants.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("time grid must be a nonempty 1-d sequence")
-    if times[0] != 0.0:
-        raise ValueError(f"time grid must start at 0, got {times[0]!r}")
-    if len(times) > 1 and not np.all(np.diff(times) > 0.0):
-        raise ValueError("time grid must be strictly increasing")
+    times = check_time(times, grid=True)
     rho0 = _check_state(rho0)
     if spec.engine == "closed_form":
-        out = np.stack([rho0 * np.exp(_exponent_matrix(spec.bath, t, include_lamb_phase))
-                        for t in times])
+        out = rho0 * np.exp(_exponents(spec.bath, times, include_lamb_phase))
     else:
         out = _ode_grid(spec, rho0, times, include_lamb_phase)
     for t, rho in zip(times, out):
@@ -216,7 +207,7 @@ def propagate_grid(spec: PropagatorSpec, rho0, times, include_lamb_phase: bool =
 
 def propagate(spec: PropagatorSpec, rho0, t, include_lamb_phase: bool = True) -> np.ndarray:
     """Evolve rho0 to a single time t (absolute units of 1/omega0)."""
-    t = _check_time(t)
+    t = check_time(t)
     grid = np.array([0.0]) if t == 0.0 else np.array([0.0, t])
     return propagate_grid(spec, rho0, grid, include_lamb_phase)[-1]
 

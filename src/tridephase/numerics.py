@@ -1,9 +1,10 @@
 """Self-contained numerical primitives.
 
-Semi-infinite quadrature for exponentially damped integrands, Hermitian
-eigendecomposition, and a fixed-step classical Runge-Kutta integrator.
-Nothing in this module knows about baths or qubits; callers drive everything
-through the small spec dataclasses.
+Closed-form special functions for complex arguments (the real part of a
+log-gamma ratio and the imaginary part of the digamma function), Hermitian
+eigendecomposition, a fixed-step classical Runge-Kutta integrator and the
+one validator for times and time grids.  Nothing in this module knows about
+baths or qubits.
 """
 
 from __future__ import annotations
@@ -15,33 +16,25 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureConvergenceError",
     "PropagationError",
     "HermitianEig",
-    "integrate_semi_infinite",
+    "check_time",
+    "loggamma_re_diff",
+    "digamma_im",
     "hermitian_eigendecomposition",
     "ode_propagate",
 ]
 
-# Truncation of [0, inf) in units of the cutoff hint.  exp(-45) ~ 3e-20, far
-# below any tolerance this module accepts, so the discarded tail never matters.
-_TAIL_FACTOR = 45
-
 _HERMITICITY_TOL = 1e-8
 
-
-class QuadratureConvergenceError(RuntimeError):
-    """Subdivision budget exhausted before the error target was met.
-
-    Carries the best estimate and its error bound so the caller can decide
-    whether the partial answer is still usable.
-    """
-
-    def __init__(self, estimate: float, error_bound: float, message: str):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+# Stirling series: Bernoulli numbers B_2k for k = 1..7, the exponents 2k and
+# 2k - 1, and the smallest real part at which the series is applied.  At
+# |z| >= 16 the first dropped term (B_16) is below 1e-19 relative.
+_B2K = np.array([1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+                 -691.0 / 2730.0, 7.0 / 6.0])
+_2K = 2.0 * np.arange(1, 8)
+_2K1 = _2K - 1.0
+_STIRLING_MIN = 16.0
 
 
 class PropagationError(RuntimeError):
@@ -52,110 +45,86 @@ class PropagationError(RuntimeError):
         self.last_good_time = last_good_time
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and scales for :func:`integrate_semi_infinite`.
+def check_time(t, grid: bool = False):
+    """Validate a time, or an array of times, and return it as float(s).
 
-    Attributes:
-        rel_tol: relative error target; the result I satisfies
-            ``|I - integral| <= max(abs_tol, rel_tol * |I|)``.
-        abs_tol: absolute error floor for integrals near zero.
-        cutoff_hint: decay scale of the integrand.  Integration is truncated
-            at ``_TAIL_FACTOR * cutoff_hint`` and the initial panels have
-            width ``cutoff_hint``.
-        max_subdivisions: total panel-split budget before giving up.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-13
-    cutoff_hint: float = 1.0
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        for field in ("rel_tol", "abs_tol", "cutoff_hint"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be a positive finite number, got {value!r}")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ValueError(f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}")
-
-
-def _eval_integrand(f: Callable, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must return one value per abscissa")
-    if not np.all(np.isfinite(y)):
-        where = x[~np.isfinite(y)]
-        raise ValueError(f"integrand is not finite at omega={where[0]!r}")
-    return y
-
-
-def integrate_semi_infinite(f: Callable, spec: QuadratureSpec) -> float:
-    """Integrate f over [0, inf) for integrands that decay like exp(-w/cutoff).
-
-    The integrand must be vectorized (ndarray in, ndarray out) and finite
-    everywhere it is sampled, including w = 0.  The rule is composite Simpson
-    with Richardson extrapolation on each panel; panels whose embedded error
-    estimate is too large are halved until the summed bound meets
-    ``max(abs_tol, rel_tol * |I|)``.
+    Every time must be finite and >= 0.  With ``grid`` the times must also
+    form a nonempty 1-d sequence that starts at 0 and strictly increases.
+    A scalar comes back as a float, anything else as a float ndarray.
 
     Raises:
-        ValueError: if the integrand returns a non-finite value.
-        QuadratureConvergenceError: if the split budget runs out first.
+        ValueError: naming the offending value.
     """
-    upper = _TAIL_FACTOR * spec.cutoff_hint
-    n0 = _TAIL_FACTOR
-    width = np.full(n0, upper / n0)
-    left = np.arange(n0) * (upper / n0)
-    offsets = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    nodes = left[:, None] + width[:, None] * offsets[None, :]
-    fv = _eval_integrand(f, nodes.ravel()).reshape(n0, 5)
+    # plain floats, such as every RK4 stage time, skip numpy
+    if not grid and (isinstance(t, (int, float)) or np.ndim(t) == 0):
+        value = float(t)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"time must be finite and >= 0, got {value!r}")
+        return value
+    times = np.asarray(t, dtype=float)
+    if grid and (times.ndim != 1 or len(times) == 0):
+        raise ValueError(f"time grid must be a nonempty 1-d sequence, got shape {times.shape}")
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        raise ValueError(f"time must be finite and >= 0, got {float(times[bad][0])!r}")
+    if grid:
+        if times[0] != 0.0:
+            raise ValueError(f"time grid must start at 0, got {float(times[0])!r}")
+        stalled = np.flatnonzero(np.diff(times) <= 0.0)
+        if len(stalled):
+            i = stalled[0]
+            raise ValueError(f"time grid must be strictly increasing, got {float(times[i + 1])!r} "
+                             f"after {float(times[i])!r}")
+    return times
 
-    splits_used = 0
-    while True:
-        coarse = width / 6.0 * (fv[:, 0] + 4.0 * fv[:, 2] + fv[:, 4])
-        fine = width / 12.0 * (fv[:, 0] + 4.0 * fv[:, 1] + 2.0 * fv[:, 2] + 4.0 * fv[:, 3] + fv[:, 4])
-        correction = (fine - coarse) / 15.0
-        value = fine + correction
-        err = np.abs(correction)
-        total = float(value.sum())
-        bound = float(err.sum())
-        target = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if bound <= target:
-            return total
-        if splits_used >= spec.max_subdivisions:
-            raise QuadratureConvergenceError(
-                total, bound,
-                f"no convergence after {splits_used} subdivisions: "
-                f"error bound {bound:.3e} > target {target:.3e}")
 
-        mask = err > target / (2.0 * len(err))
-        if not mask.any():
-            mask = err >= err.max()
-        budget = spec.max_subdivisions - splits_used
-        if int(mask.sum()) > budget:
-            # spend what is left on the worst offenders only
-            keep = np.argsort(err)[::-1][:budget]
-            mask = np.zeros(len(err), dtype=bool)
-            mask[keep] = True
-        splits_used += int(mask.sum())
+def _stirling_shift(c: float) -> np.ndarray:
+    """c, c + 1, ..., c + N - 1 for the smallest N with c + N >= 16."""
+    return c + np.arange(max(0, math.ceil(_STIRLING_MIN - c)))
 
-        # each split turns a panel into two halves; three of each half's five
-        # nodes are inherited from the parent, so only four are new
-        pl, pw, pf = left[mask], width[mask], fv[mask]
-        half = pw / 2.0
-        la, ra = pl, pl + half
-        new_nodes = np.concatenate([
-            la + half * 0.25, la + half * 0.75,
-            ra + half * 0.25, ra + half * 0.75,
-        ])
-        nf = _eval_integrand(f, new_nodes).reshape(4, -1)
-        left_fv = np.stack([pf[:, 0], nf[0], pf[:, 1], nf[1], pf[:, 2]], axis=1)
-        right_fv = np.stack([pf[:, 2], nf[2], pf[:, 3], nf[3], pf[:, 4]], axis=1)
 
-        left = np.concatenate([left[~mask], la, ra])
-        width = np.concatenate([width[~mask], half, half])
-        fv = np.concatenate([fv[~mask], left_fv, right_fv], axis=0)
+def loggamma_re_diff(c: float, y):
+    """Re[ln Gamma(c + i y) - ln Gamma(c)] for real c > 0 and real y.
+
+    The argument is shifted up by the recurrence to w = c + N >= 16, where
+    the Stirling series through B_14 applies.  Every term is written so that
+    nothing cancels at small y: the shifts contribute -log1p((y/(c+k))^2)/2
+    and each Stirling term uses, with u = y/w and theta = arctan(u),
+
+        Re z^-m - w^-m = w^-m [expm1(-m/2 log1p(u^2)) cos(m theta) - 2 sin^2(m theta/2)].
+
+    Series and shift terms run along a trailing axis, so each element is
+    computed the same way whatever the shape of y.
+    """
+    shifts = _stirling_shift(c)
+    w = c + len(shifts)
+    y = np.asarray(y, dtype=float)
+    u = y / w
+    log_r = np.log1p(u * u)
+    theta = np.arctan(u)
+    m_theta = _2K1 * theta[..., None]
+    series = (_B2K / (_2K * _2K1) * w ** -_2K1) * (
+        np.expm1(-0.5 * _2K1 * log_r[..., None]) * np.cos(m_theta) - 2.0 * np.sin(0.5 * m_theta) ** 2)
+    shifted = np.log1p((y[..., None] / shifts) ** 2)
+    return (w - 0.5) * 0.5 * log_r - y * theta + series.sum(axis=-1) - 0.5 * shifted.sum(axis=-1)
+
+
+def digamma_im(c: float, y):
+    """Im psi(c + i y) for real c > 0 and real y.
+
+    Shifted up by the recurrence to w = c + N >= 16, then the Stirling
+    series through B_14: Im psi(z) = arg z + y / (2|z|^2)
+    + sum_k B_2k / (2k) |z|^-2k sin(2k arg z), plus y / ((c+k)^2 + y^2)
+    for each shift.  Shaped like :func:`loggamma_re_diff`.
+    """
+    shifts = _stirling_shift(c)
+    w = c + len(shifts)
+    y = np.asarray(y, dtype=float)
+    r2 = w * w + y * y
+    theta = np.arctan2(y, w)
+    series = _B2K / _2K * r2[..., None] ** (-0.5 * _2K) * np.sin(_2K * theta[..., None])
+    shifted = y[..., None] / (shifts ** 2 + (y * y)[..., None])
+    return theta + y / (2.0 * r2) + series.sum(axis=-1) + shifted.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -201,13 +170,7 @@ def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: flo
         PropagationError: if the state stops being finite; the exception
             carries the last time at which it was still good.
     """
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("time grid must be a nonempty 1-d sequence")
-    if times[0] != 0.0:
-        raise ValueError(f"time grid must start at 0, got {times[0]!r}")
-    if len(times) > 1 and not np.all(np.diff(times) > 0.0):
-        raise ValueError("time grid must be strictly increasing")
+    times = check_time(grid, grid=True)
     if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
         raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
 

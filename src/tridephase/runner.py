@@ -6,8 +6,8 @@ mode, plus optional overrides.  ``p``, ``topology`` and ``memory`` may be
 lists, in which case the cross product (p outermost, memory innermost)
 becomes the scenario list.
 
-CSV files are byte-stable: same config, same bytes, regardless of thread
-count or scenario order.  Layout:
+CSV files are byte-stable: same config, same bytes, regardless of
+scenario order.  Layout:
 
     # state=w
     # p=1
@@ -26,7 +26,6 @@ with both columns printed to 9 significant digits and LF line endings.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -289,15 +288,13 @@ def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
     return path
 
 
-def run_scenarios(scenarios, out_dir, threads: int = 1) -> list[RunResult]:
+def run_scenarios(scenarios, out_dir) -> list[RunResult]:
     """Run every scenario and write one CSV each.
 
     A failing scenario is reported in its RunResult and does not stop the
-    rest.  Results come back in scenario order and the written bytes do not
-    depend on the thread count.  An empty list is a successful no-op.
+    rest.  Results come back in scenario order.  An empty list is a
+    successful no-op.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
     scenarios = list(scenarios)
     out = Path(out_dir)
     if scenarios:
@@ -309,10 +306,7 @@ def run_scenarios(scenarios, out_dir, threads: int = 1) -> list[RunResult]:
         except Exception as exc:
             return RunResult(sc, None, exc)
 
-    if threads == 1 or len(scenarios) <= 1:
-        return [attempt(sc) for sc in scenarios]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(attempt, scenarios))
+    return [attempt(sc) for sc in scenarios]
 
 
 def figure_scenarios(figure_id: str, engine: str = "closed_form",
@@ -350,7 +344,7 @@ def figure_scenarios(figure_id: str, engine: str = "closed_form",
     return scenarios
 
 
-def reproduce(figure_id: str, out_dir, engine: str = "closed_form", threads: int = 1,
+def reproduce(figure_id: str, out_dir, engine: str = "closed_form",
               n_points: int = DEFAULT_N_POINTS) -> list[RunResult]:
     """Write the CSV bundle for one figure id into out_dir."""
-    return run_scenarios(figure_scenarios(figure_id, engine, n_points), out_dir, threads)
+    return run_scenarios(figure_scenarios(figure_id, engine, n_points), out_dir)

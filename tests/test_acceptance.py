@@ -247,5 +247,5 @@ def test_criterion_13_kernel_correctness():
     exact = all(cumulative_decoherence(mk, t) == markov_rate(mk) * t
                 for t in (0.0, 0.7, 2.9, 30.0))
     ok = worst < 0.05 and exact
-    assert _verdict(13, ok, f"kernel quadrature vs flat-coth forms, worst rel dev "
+    assert _verdict(13, ok, f"closed-form kernels vs flat-coth forms, worst rel dev "
                             f"{worst:.2e}; markov cumulative exactly linear: {exact}")

@@ -1,14 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
 from tridephase.bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF,
                              BathSpec, cumulative_decoherence, dephasing_rate,
-                             lamb_kernel, make_kernels, markov_rate,
-                             spectral_density)
-from tridephase.numerics import QuadratureSpec, integrate_semi_infinite
+                             lamb_kernel, markov_rate, spectral_density)
 
 MARKOV = BathSpec(memory="markov")
 NON_MARKOV = BathSpec(memory="non_markov")
@@ -136,12 +135,21 @@ def test_rate_nonnegative_over_wide_scan():
         assert dephasing_rate(NON_MARKOV, float(t)) >= -1e-15
 
 
-def test_rate_with_custom_quadrature_spec():
-    quad = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12,
-                          cutoff_hint=DEFAULT_LAMBDA_CUTOFF)
-    a = dephasing_rate(NON_MARKOV, 10.0, quad=quad)
-    b = dephasing_rate(NON_MARKOV, 10.0)
-    assert abs(a - b) / abs(b) < 1e-5
+@pytest.mark.parametrize("t", [1e4, 1e5, 1e6])
+def test_long_time_kernels_match_mpmath(t):
+    # the closed forms evaluated at 30 digits; at these times an adaptive
+    # quadrature of the frequency integrals loses accuracy or fails
+    spec = NON_MARKOV
+    with mpmath.workdps(30):
+        eta, lam, kbt = (mpmath.mpf(v) for v in (spec.eta, spec.lambda_cutoff, spec.kbt))
+        tt = mpmath.mpf(t)
+        z = mpmath.mpc(kbt / lam, kbt * tt)
+        rate = 2 * eta * (2 * kbt * mpmath.im(mpmath.digamma(z)) - tt / (lam ** -2 + tt * tt))
+        cum = -eta * (4 * mpmath.re(mpmath.loggamma(z) - mpmath.loggamma(kbt / lam))
+                      + mpmath.log1p((lam * tt) ** 2))
+        rate, cum = float(rate), float(cum)
+    assert abs(dephasing_rate(spec, t) - rate) / rate < 1e-12
+    assert abs(cumulative_decoherence(spec, t) - cum) / cum < 1e-12
 
 
 # ------------------------------------------------------------ lamb kernels
@@ -160,58 +168,62 @@ def test_lamb_shift_matches_quadrature():
     # mu(t) = integral of J(w) (1 - cos w t) / w; its antiderivative big_m
     # follows by integrating t - sin(w t)/w instead
     spec = NON_MARKOV
-    quad = QuadratureSpec(cutoff_hint=spec.lambda_cutoff)
+    upper = 60.0 * spec.lambda_cutoff
     for t in np.linspace(5.0, 300.0, 20):
         def mu_integrand(w, t=float(t)):
-            s = np.sin(0.5 * w * t)
-            return spec.eta * np.exp(-w / spec.lambda_cutoff) * 2.0 * s * s
+            s = math.sin(0.5 * w * t)
+            return spec.eta * math.exp(-w / spec.lambda_cutoff) * 2.0 * s * s
 
         mu, _ = lamb_kernel(spec, float(t))
-        mu_quad = integrate_semi_infinite(mu_integrand, quad)
+        mu_quad, _ = scipy.integrate.quad(mu_integrand, 0.0, upper, epsabs=0.0,
+                                          epsrel=1e-12, limit=400)
         assert abs(mu - mu_quad) / abs(mu_quad) < 1e-8
 
     def big_m_integrand(w, t=2.0):
-        return spec.eta * np.exp(-w / spec.lambda_cutoff) * (t - np.sin(w * t) / w)
-
-    # the w -> 0 limit of (t - sin(wt)/w) is 0, but the sampled nodes never
-    # include w = 0 exactly except the very first; patch that node
-    def guarded(w):
-        out = np.zeros_like(w)
-        nz = w > 0.0
-        out[nz] = big_m_integrand(w[nz])
-        return out
+        # the w -> 0 limit of t - sin(w t)/w is 0
+        if w == 0.0:
+            return 0.0
+        return spec.eta * math.exp(-w / spec.lambda_cutoff) * (t - math.sin(w * t) / w)
 
     _, big_m = lamb_kernel(spec, 2.0)
-    big_m_quad = integrate_semi_infinite(guarded, quad)
+    big_m_quad, _ = scipy.integrate.quad(big_m_integrand, 0.0, upper, epsabs=0.0,
+                                         epsrel=1e-12, limit=400)
     assert abs(big_m - big_m_quad) / abs(big_m_quad) < 1e-6
 
 
 # ------------------------------------------------------------ kernel bundle
+# the four kernels gamma, Gamma, mu and M, for scalar and array times
 
 def test_kernel_bundle_markov():
-    k = make_kernels(MARKOV)
     g0 = markov_rate(MARKOV)
-    assert k.gamma(0.7) == g0
-    assert k.big_gamma(0.7) == g0 * 0.7
-    assert k.mu(0.7) == 0.0
-    assert k.big_m(0.7) == 0.0
+    for t in (0.7, 5.0):
+        assert dephasing_rate(MARKOV, t) == g0
+        assert cumulative_decoherence(MARKOV, t) == g0 * t
+        assert lamb_kernel(MARKOV, t) == (0.0, 0.0)
+    times = np.array([0.0, 0.7, 5.0])
+    assert np.array_equal(dephasing_rate(MARKOV, times), np.full(3, g0))
+    assert np.array_equal(cumulative_decoherence(MARKOV, times), g0 * times)
+    mu, big_m = lamb_kernel(MARKOV, times)
+    assert np.array_equal(mu, np.zeros(3)) and np.array_equal(big_m, np.zeros(3))
 
 
 def test_kernel_bundle_non_markov_starts_from_zero():
-    k = make_kernels(NON_MARKOV)
-    assert k.gamma(0.0) == 0.0
-    assert k.big_gamma(0.0) == 0.0
-    assert k.mu(0.0) == 0.0
-    assert k.big_m(0.0) == 0.0
+    assert dephasing_rate(NON_MARKOV, 0.0) == 0.0
+    assert cumulative_decoherence(NON_MARKOV, 0.0) == 0.0
+    assert lamb_kernel(NON_MARKOV, 0.0) == (0.0, 0.0)
 
 
 def test_kernel_bundle_non_markov_matches_module_functions():
-    k = make_kernels(NON_MARKOV)
-    assert k.gamma(7.0) == dephasing_rate(NON_MARKOV, 7.0)
-    assert k.big_gamma(7.0) == cumulative_decoherence(NON_MARKOV, 7.0)
-    mu, big_m = lamb_kernel(NON_MARKOV, 7.0)
-    assert k.mu(7.0) == mu
-    assert k.big_m(7.0) == big_m
+    # an array of times gives, element by element, the scalar results
+    times = np.array([0.0, 0.01, 7.0, 250.0, 1e5])
+    for func in (dephasing_rate, cumulative_decoherence):
+        values = func(NON_MARKOV, times)
+        assert values.shape == times.shape
+        assert all(isinstance(func(NON_MARKOV, float(t)), float) for t in times)
+        assert np.array_equal(values, [func(NON_MARKOV, float(t)) for t in times])
+    mu, big_m = lamb_kernel(NON_MARKOV, times)
+    assert np.array_equal(mu, [lamb_kernel(NON_MARKOV, float(t))[0] for t in times])
+    assert np.array_equal(big_m, [lamb_kernel(NON_MARKOV, float(t))[1] for t in times])
 
 
 # ---------------------------------------------------------------- validation

@@ -103,6 +103,19 @@ def test_local_bath_has_no_frozen_off_diagonal():
 
 # ---------------------------------------------------------------- propagate
 
+def test_grid_matches_single_times():
+    # the closed form evaluates the kernels once per grid; every sample must
+    # equal the one-time evaluation bit for bit
+    rho0 = make_state(StateSpec("star"))
+    times = np.linspace(0.0, 2.0, 9) / G0
+    for spec in (COMMON_M, LOCAL_M, COMMON_NM, LOCAL_NM):
+        rhos = propagate_grid(spec, rho0, times)
+        for t, rho in zip(times, rhos):
+            factors = np.array([[decoherence_exponent(spec, m, n, t) for n in range(8)]
+                                for m in range(8)])
+            assert np.array_equal(rho, rho0 * np.exp(factors))
+
+
 def test_propagate_identity_at_zero_time():
     rho0 = make_state(StateSpec("star"))
     for spec in (COMMON_M, LOCAL_NM):

@@ -1,81 +1,75 @@
+import mpmath
 import numpy as np
 import pytest
 
-from tridephase.numerics import (HermitianEig, PropagationError,
-                                 QuadratureConvergenceError, QuadratureSpec,
-                                 hermitian_eigendecomposition,
-                                 integrate_semi_infinite, ode_propagate)
+from tridephase.numerics import (HermitianEig, PropagationError, check_time,
+                                 digamma_im, hermitian_eigendecomposition,
+                                 loggamma_re_diff, ode_propagate)
 
 E_INV = 0.36787944117144233  # exp(-1)
 
 
-# ---------------------------------------------------------------- quadrature
+# ---------------------------------------------------------- special functions
 
-def test_quadrature_plain_exponential():
-    # integral of exp(-w) over [0, inf) is exactly 1
-    spec = QuadratureSpec()
-    value = integrate_semi_infinite(lambda w: np.exp(-w), spec)
-    assert abs(value - 1.0) < 1e-10
-
-
-def test_quadrature_gamma_moment():
-    # integral of w * exp(-w) is 1 (first moment of the unit exponential)
-    value = integrate_semi_infinite(lambda w: w * np.exp(-w), QuadratureSpec())
-    assert abs(value - 1.0) < 1e-10
+# 30 values of c log-spaced over [1e-2, 1e2] (both ends included) and y from
+# the cancellation-prone y <= 1e-6 up to 1e6
+HELPER_C = np.logspace(-2.0, 2.0, 30)
+HELPER_Y = np.array([0.0, 1e-7, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
 
 
-def test_quadrature_oscillatory_with_short_cutoff():
-    # integral of exp(-w/L) * sin(b w) = b / (1/L^2 + b^2); with L = 0.01 and
-    # b = 100 both terms are 1e4 and the value is exactly 0.005
-    spec = QuadratureSpec(cutoff_hint=0.01)
-    value = integrate_semi_infinite(lambda w: np.exp(-w / 0.01) * np.sin(100.0 * w), spec)
-    assert abs(value - 0.005) / 0.005 < 1e-7
+def _assert_matches_mpmath(values, c, exact):
+    assert values.shape == HELPER_Y.shape
+    assert values[0] == 0.0
+    # lnG(c + iy) - lnG(c) cancels about 20 digits at y = 1e-7 and c = 100, so
+    # the oracle works at 60 digits to keep more than 30 in its result
+    with mpmath.workdps(60):
+        for y, value in zip(HELPER_Y[1:], values[1:]):
+            expected = exact(mpmath.mpf(c), mpmath.mpf(y))
+            assert abs(value - expected) <= 1e-13 * abs(expected), (c, y)
 
 
-def test_quadrature_scale_family():
-    # integral of a exp(-a w) is 1 for any a when the hint tracks the scale
-    for a in (0.05, 1.0, 40.0):
-        spec = QuadratureSpec(cutoff_hint=1.0 / a)
-        value = integrate_semi_infinite(lambda w, a=a: a * np.exp(-a * w), spec)
-        assert abs(value - 1.0) < 1e-9
+@pytest.mark.parametrize("c", HELPER_C)
+def test_loggamma_re_diff_matches_mpmath(c):
+    _assert_matches_mpmath(
+        loggamma_re_diff(c, HELPER_Y), c,
+        lambda c, y: mpmath.re(mpmath.loggamma(mpmath.mpc(c, y)) - mpmath.loggamma(c)))
 
 
-def test_quadrature_budget_exhaustion_carries_estimate():
-    # one subdivision cannot resolve a fast oscillation on unit panels
-    spec = QuadratureSpec(cutoff_hint=1.0, max_subdivisions=1, rel_tol=1e-12)
-    with pytest.raises(QuadratureConvergenceError) as info:
-        integrate_semi_infinite(lambda w: np.exp(-w) * np.sin(200.0 * w), spec)
-    err = info.value
-    assert np.isfinite(err.estimate)
-    assert err.error_bound > 0.0
+@pytest.mark.parametrize("c", HELPER_C)
+def test_digamma_im_matches_mpmath(c):
+    _assert_matches_mpmath(digamma_im(c, HELPER_Y), c,
+                           lambda c, y: mpmath.im(mpmath.digamma(mpmath.mpc(c, y))))
 
 
-def test_quadrature_rejects_non_finite_integrand():
-    def bad(w):
-        out = np.exp(-w)
-        return np.where(w > 1.0, np.nan, out)
-
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(bad, QuadratureSpec())
-
-
-def test_quadrature_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda w: np.float64(1.0), QuadratureSpec())
+def test_special_functions_keep_the_shape_of_y():
+    grid = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    for func in (loggamma_re_diff, digamma_im):
+        assert func(0.3, grid).shape == (2, 3)
+        assert np.ndim(func(0.3, 2.0)) == 0
+        assert func(0.3, grid)[1, 1] == func(0.3, grid[1, 1])
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"rel_tol": -1e-9},
-    {"rel_tol": 0.0},
-    {"abs_tol": -1.0},
-    {"cutoff_hint": 0.0},
-    {"cutoff_hint": float("inf")},
-    {"max_subdivisions": 0},
-    {"max_subdivisions": 2.5},
+# ------------------------------------------------------------ time validation
+
+def test_check_time_returns_float_or_array():
+    assert check_time(2) == 2.0 and isinstance(check_time(2), float)
+    assert np.array_equal(check_time([0.0, 1.0]), [0.0, 1.0])
+    assert np.array_equal(check_time([0.0, 0.5, 2.0], grid=True), [0.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("times, grid, named", [
+    (-0.5, False, "-0.5"),
+    (float("nan"), False, "nan"),
+    ([0.0, 2.0, -3.0], False, "-3.0"),
+    ([0.0, float("inf")], True, "inf"),
+    ([0.25, 1.0], True, "0.25"),
+    ([0.0, 2.0, 1.5], True, "1.5 after 2.0"),
+    ([[0.0, 1.0]], True, "(1, 2)"),
 ])
-def test_quadrature_spec_validation(kwargs):
-    with pytest.raises((ValueError, TypeError)):
-        QuadratureSpec(**kwargs)
+def test_check_time_names_the_offending_value(times, grid, named):
+    with pytest.raises(ValueError) as info:
+        check_time(times, grid=grid)
+    assert named in str(info.value)
 
 
 # ------------------------------------------------------------ eigensolver
