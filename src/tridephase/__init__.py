@@ -18,14 +18,13 @@ from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    spectral_density)
 from .dynamics import (ENGINES, OMEGA0, PropagatorSpec, coherence_trace,
                        decoherence_exponent, propagate, propagate_grid)
-from .measures import (CoherenceTrace, dephase, l1_coherence,
-                       rel_entropy_coherence, von_neumann_entropy)
+from .measures import CoherenceTrace, dephase, rel_entropy_coherence, von_neumann_entropy
 from .numerics import (HermitianEig, PropagationError, hermitian_eigendecomposition,
                        ode_propagate)
 from .runner import (ConfigError, RunResult, ScenarioConfig, parse_config,
                      reproduce, run_scenarios, trace_csv_bytes)
 from .states import (MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES,
-                     StateReport, StateSpec, make_state, state_vector, validate)
+                     StateReport, StateSpec, make_state, validate)
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,11 @@ __all__ = [
     "BathSpec", "spectral_density", "markov_rate",
     "dephasing_rate", "cumulative_decoherence", "lamb_kernel",
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
-    "StateSpec", "StateReport", "make_state", "state_vector", "validate",
+    "StateSpec", "StateReport", "make_state", "validate",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
     "PropagatorSpec", "propagate", "propagate_grid", "decoherence_exponent",
     "coherence_trace", "ENGINES", "OMEGA0",
-    "von_neumann_entropy", "dephase", "rel_entropy_coherence", "l1_coherence",
+    "von_neumann_entropy", "dephase", "rel_entropy_coherence",
     "CoherenceTrace",
     "HermitianEig", "hermitian_eigendecomposition",
     "PropagationError", "ode_propagate",

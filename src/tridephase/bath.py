@@ -56,6 +56,11 @@ DEFAULT_KBT = 1.0 / (4.0 * math.pi)
 TOPOLOGIES = ("local", "common")
 MEMORIES = ("markov", "non_markov")
 
+# below x = 0.1, x - arctan(x) = x^3/3 - x^5/5 + ... (through x^19; the next
+# term is below 1e-18 relative), where the direct difference cancels
+_SERIES_X = 0.1
+_ARCTAN_SERIES = tuple((-1.0) ** k / (2 * k + 3) for k in range(9))
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -73,12 +78,16 @@ class BathSpec:
     memory: str = "markov"
 
     def __post_init__(self):
-        if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta >= 0):
+        # bool is an int subclass; True is not a coupling strength
+        if isinstance(self.eta, bool) or not (isinstance(self.eta, (int, float))
+                                              and math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        if not (isinstance(self.lambda_cutoff, (int, float)) and math.isfinite(self.lambda_cutoff)
-                and self.lambda_cutoff > 0):
+        if isinstance(self.lambda_cutoff, bool) or not (isinstance(self.lambda_cutoff, (int, float))
+                                                        and math.isfinite(self.lambda_cutoff)
+                                                        and self.lambda_cutoff > 0):
             raise ValueError(f"lambda_cutoff must be positive, got {self.lambda_cutoff!r}")
-        if not (isinstance(self.kbt, (int, float)) and math.isfinite(self.kbt) and self.kbt > 0):
+        if isinstance(self.kbt, bool) or not (isinstance(self.kbt, (int, float))
+                                              and math.isfinite(self.kbt) and self.kbt > 0):
             raise ValueError(f"kbt must be positive, got {self.kbt!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
@@ -130,7 +139,8 @@ def lamb_kernel(spec: BathSpec, t):
     elementary:
 
         mu(t) = eta * lam^3 t^2 / (1 + lam^2 t^2)
-        M(t)  = eta * (lam t - arctan(lam t))
+        M(t)  = eta * (x - arctan(x)),  x = lam t
+              = eta * (x^3/3 - x^5/5 + ...)  for x < 0.1
     """
     t = check_time(t)
     if spec.memory == "markov":
@@ -138,5 +148,10 @@ def lamb_kernel(spec: BathSpec, t):
         return zero, zero
     lam = spec.lambda_cutoff
     mu = spec.eta * lam ** 3 * t * t / (1.0 + lam * lam * t * t)
-    big_m = spec.eta * (lam * t - np.arctan(lam * t))
+    x = lam * t
+    x2 = x * x
+    series = 0.0
+    for coefficient in reversed(_ARCTAN_SERIES):  # Horner in x^2
+        series = series * x2 + coefficient
+    big_m = spec.eta * np.where(x < _SERIES_X, x * x2 * series, x - np.arctan(x))[()]
     return mu, big_m

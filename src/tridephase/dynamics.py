@@ -32,7 +32,6 @@ __all__ = [
     "ENGINES",
     "PropagatorSpec",
     "z_weight",
-    "hamming",
     "decoherence_exponent",
     "propagate",
     "propagate_grid",
@@ -46,7 +45,6 @@ ENGINES = ("closed_form", "ode")
 # one row of bits per basis index, qubit 1 first (most significant)
 _BITS = np.array([[(m >> (2 - i)) & 1 for i in range(3)] for m in range(8)])
 _Z = np.sum(1 - 2 * _BITS, axis=1)
-_HAMMING = np.sum(_BITS[:, None, :] != _BITS[None, :, :], axis=2)
 
 # tolerances on the propagated state: normal operation stays within the
 # strict value; past the loose one something is structurally wrong
@@ -74,11 +72,6 @@ def _check_index(m: int) -> int:
 def z_weight(m: int) -> int:
     """Collective sigma_z eigenvalue sum_i (1 - 2 bit_i) of basis index m."""
     return int(_Z[_check_index(m)])
-
-
-def hamming(m: int, n: int) -> int:
-    """Number of qubits on which basis indices m and n differ."""
-    return int(_HAMMING[_check_index(m), _check_index(n)])
 
 
 def _check_state(rho) -> np.ndarray:

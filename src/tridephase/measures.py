@@ -15,7 +15,6 @@ __all__ = [
     "von_neumann_entropy",
     "dephase",
     "rel_entropy_coherence",
-    "l1_coherence",
 ]
 
 # eigenvalues below this are a broken state, not roundoff
@@ -53,12 +52,6 @@ def rel_entropy_coherence(rho) -> float:
             raise RuntimeError(f"coherence {value:.3e} is negative beyond roundoff; inputs are inconsistent")
         return 0.0
     return value
-
-
-def l1_coherence(rho) -> float:
-    """Sum of the magnitudes of all off-diagonal entries."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diag(rho))))
 
 
 @dataclass(frozen=True)

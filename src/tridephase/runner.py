@@ -27,7 +27,8 @@ with both columns printed to 9 significant digits and LF line endings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,14 +91,17 @@ class ScenarioConfig:
     output: str
 
     def __post_init__(self):
-        if not (isinstance(self.t_max, (int, float)) and math.isfinite(self.t_max) and self.t_max > 0):
+        if isinstance(self.t_max, bool) or not (isinstance(self.t_max, (int, float))
+                                                and math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if not (isinstance(self.n_points, int) and self.n_points >= 2):
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if not self.output:
-            raise ValueError("output file name must be nonempty")
+        # a plain file name, so that every CSV lands inside the output directory
+        if (not isinstance(self.output, str) or self.output in ("", ".", "..")
+                or "/" in self.output or "\\" in self.output):
+            raise ValueError(f"field 'output': must be a plain file name, got {self.output!r}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +288,15 @@ def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
     grid = np.linspace(0.0, scenario.t_max, scenario.n_points)
     trace = coherence_trace(spec, scenario.state, grid)
     path = out_dir / scenario.output
-    path.write_bytes(trace_csv_bytes(trace))
+    # render into a temp file beside the target and rename it into place, so
+    # a failure never leaves a partial CSV
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(trace_csv_bytes(trace))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "STATE_NAMES",
     "StateSpec",
     "StateReport",
-    "state_vector",
     "make_state",
     "validate",
 ]
@@ -58,15 +57,8 @@ class StateSpec:
     def __post_init__(self):
         if self.name not in STATE_NAMES:
             raise ValueError(f"unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
-        if not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-
-
-def state_vector(name: str) -> np.ndarray:
-    """State vector of one of the pure states."""
-    if name not in _VECTORS:
-        raise ValueError(f"{name!r} is not a pure state; valid names: {', '.join(PURE_STATE_NAMES)}")
-    return _VECTORS[name].copy()
+        if isinstance(self.p, bool) or not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
+            raise ValueError(f"p must be a number in [0, 1], got {self.p!r}")
 
 
 def _projector(v: np.ndarray) -> np.ndarray:

@@ -164,6 +164,24 @@ def test_lamb_shift_closed_form_values():
     assert abs(big_m2 - 2.666026849465486e-7) / 2.666026849465486e-7 < 1e-12
 
 
+# x = lambda t from 1e-6 to 1e3, log-spaced, plus both sides of the series cut
+LAMB_X = np.concatenate([np.logspace(-6.0, 3.0, 46), [0.0999999, 0.1, 0.1000001]])
+
+
+def test_lamb_kernel_matches_mpmath_without_cancellation():
+    # M = eta (x - arctan x) cancels for small x; the oracle takes the float
+    # x = lambda * t that the kernel itself forms
+    spec = BathSpec(eta=0.3, lambda_cutoff=0.02, memory="non_markov")
+    times = LAMB_X / spec.lambda_cutoff
+    _, big_m = lamb_kernel(spec, times)
+    with mpmath.workdps(40):
+        for t, value in zip(times, big_m):
+            x = mpmath.mpf(spec.lambda_cutoff * float(t))
+            expected = mpmath.mpf(spec.eta) * (x - mpmath.atan(x))
+            assert abs(value - expected) <= 1e-13 * expected, float(x)
+            assert lamb_kernel(spec, float(t))[1] == value
+
+
 def test_lamb_shift_matches_quadrature():
     # mu(t) = integral of J(w) (1 - cos w t) / w; its antiderivative big_m
     # follows by integrating t - sin(w t)/w instead
@@ -239,6 +257,12 @@ def test_kernel_bundle_non_markov_matches_module_functions():
 def test_bath_spec_validation(kwargs):
     with pytest.raises(ValueError):
         BathSpec(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["eta", "lambda_cutoff", "kbt"])
+def test_bath_spec_rejects_booleans(field):
+    with pytest.raises(ValueError, match=field):
+        BathSpec(**{field: True})
 
 
 @pytest.mark.parametrize("func", [dephasing_rate, cumulative_decoherence, lamb_kernel])

@@ -6,7 +6,7 @@ import pytest
 from tridephase.bath import BathSpec, lamb_kernel, markov_rate
 from tridephase.dynamics import (ENGINES, OMEGA0, PropagatorSpec,
                                  _check_output, coherence_trace,
-                                 decoherence_exponent, hamming, propagate,
+                                 decoherence_exponent, propagate,
                                  propagate_grid, z_weight)
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import StateSpec, make_state
@@ -26,20 +26,12 @@ def test_z_weight_table():
     assert [z_weight(m) for m in range(8)] == [3, 1, 1, -1, 1, -1, -1, -3]
 
 
-def test_hamming_examples():
-    assert hamming(0, 7) == 3
-    assert hamming(0, 1) == 1
-    assert hamming(2, 5) == 3
-    assert hamming(1, 3) == 1
-    assert hamming(5, 5) == 0
-
-
 @pytest.mark.parametrize("bad", [-1, 8, 100])
 def test_index_bounds(bad):
     with pytest.raises(ValueError):
         z_weight(bad)
     with pytest.raises(ValueError):
-        hamming(bad, 0)
+        decoherence_exponent(COMMON_M, bad, 0, 1.0)
 
 
 # ----------------------------------------------------------------- exponents

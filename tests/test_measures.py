@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tridephase.measures import (dephase, l1_coherence, rel_entropy_coherence,
-                                 von_neumann_entropy)
+from tridephase.measures import dephase, rel_entropy_coherence, von_neumann_entropy
 from tridephase.states import StateSpec, make_state
 
 LN2 = math.log(2.0)
@@ -118,18 +117,3 @@ def test_coherence_invariant_under_diagonal_phases():
     u = np.diag(phases)
     rotated = u @ rho @ u.conj().T
     assert abs(rel_entropy_coherence(rotated) - rel_entropy_coherence(rho)) < 1e-10
-    assert abs(l1_coherence(rotated) - l1_coherence(rho)) < 1e-10
-
-
-# ----------------------------------------------------------------------- l1
-
-def test_l1_coherence_values():
-    assert abs(l1_coherence(make_state(StateSpec("ghz"))) - 1.0) < 1e-14
-    assert abs(l1_coherence(make_state(StateSpec("w"))) - 2.0) < 1e-14
-    assert l1_coherence(np.eye(8) / 8.0) == 0.0
-
-
-def test_l1_scales_with_werner_weight():
-    for p in (0.2, 0.7):
-        value = l1_coherence(make_state(StateSpec("werner-ghz", p=p)))
-        assert abs(value - p) < 1e-14

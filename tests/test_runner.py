@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tridephase import runner
 from tridephase.bath import BathSpec
 from tridephase.cli import main
 from tridephase.dynamics import PropagatorSpec, coherence_trace
@@ -159,6 +161,32 @@ def test_parse_rejects_output_in_defaults():
         parse_config("defaults: {output: a.csv}\nscenarios: []\n")
 
 
+ESCAPING_OUTPUTS = ["../escaped.csv", "/tmp/escaped.csv", "sub/escaped.csv",
+                    "..\\escaped.csv", ".", ".."]
+
+
+@pytest.mark.parametrize("output", ESCAPING_OUTPUTS)
+def test_parse_rejects_output_that_is_not_a_plain_file_name(output):
+    text = f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, output: '{output}'}}\n"
+    with pytest.raises(ConfigError, match="scenario 1: field 'output'"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
+def test_parse_rejects_booleans(field):
+    text = f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, {field}: true}}\n"
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("field", ["t_max", "output"])
+def test_scenario_config_names_the_bad_field(field):
+    good = dict(state=StateSpec("ghz"), bath=BathSpec(), t_max=3.0, n_points=4,
+                engine="closed_form", output="a.csv")
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{**good, field: True if field == "t_max" else "../a.csv"})
+
+
 # ---------------------------------------------------------------- csv bytes
 
 def w_trace(n_points=5):
@@ -227,6 +255,40 @@ def test_run_scenarios_isolates_failures(tmp_path):
     assert results[1].ok
     assert not (tmp_path / "bad.csv").exists()
     assert (tmp_path / "ghz_common_markov.csv").exists()
+
+
+def _half_written(self, data):
+    # a crash mid-write: half the bytes reach the file, then the write fails
+    with open(self, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    raise OSError("disk full")
+
+
+def _failing_rename(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("stage", ["render", "write", "rename"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, stage):
+    # a scenario that fails while rendering, writing or renaming its CSV
+    # leaves neither a new target nor a temp file, and an older target keeps
+    # its bytes
+    fresh, kept = parse_config("""
+scenarios:
+  - {state: ghz, topology: common, memory: markov, n_points: 4}
+  - {state: w, topology: common, memory: markov, n_points: 4}
+""")
+    (tmp_path / kept.output).write_bytes(b"old\n")
+    if stage == "render":
+        monkeypatch.setattr(runner, "trace_csv_bytes", lambda trace: 1 / 0)
+    elif stage == "write":
+        monkeypatch.setattr(Path, "write_bytes", _half_written)
+    else:
+        monkeypatch.setattr(runner.os, "replace", _failing_rename)
+    results = run_scenarios([fresh, kept], tmp_path)
+    assert not any(r.ok for r in results)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [kept.output]
+    assert (tmp_path / kept.output).read_bytes() == b"old\n"
 
 
 # ------------------------------------------------------------------ figures
@@ -307,6 +369,21 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert "state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", ESCAPING_OUTPUTS)
+def test_cli_rejects_escaping_output(tmp_path, capsys, output):
+    root = tmp_path / "root"
+    out_dir = root / "a" / "out"
+    out_dir.mkdir(parents=True)
+    cfg = root / "cfg.yaml"
+    if output.startswith("/"):
+        output = str(root / "escaped.csv")
+    cfg.write_text(f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, "
+                   f"n_points: 3, output: '{output}'}}\n")
+    assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "output" in capsys.readouterr().err
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["a", "a/out", "cfg.yaml"]
+
+
 def test_cli_missing_config_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 2
 
@@ -329,3 +406,20 @@ def test_cli_weak_coupling_long_window_exits_zero(tmp_path, capsys):
     values = [float(line.split(",")[1]) for line in lines[9:]]
     assert len(values) == DEFAULT_N_POINTS
     assert values[0] == pytest.approx(math.log(2.0)) and 0.0 <= values[-1] < values[0]
+
+
+# ------------------------------------------------------------------- golden
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "figures"
+
+
+def test_reproduce_matches_reference_bytes(tmp_path):
+    # bench/reference/figures is the one golden copy of the 52 CSVs
+    for figure_id in FIGURE_IDS:
+        assert all(r.ok for r in reproduce(figure_id, tmp_path))
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in REFERENCE.iterdir())
+    assert len(written) == 52
+    changed = [name for name in written
+               if (tmp_path / name).read_bytes() != (REFERENCE / name).read_bytes()]
+    assert changed == []

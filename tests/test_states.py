@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tridephase.states import (MIXED_STATE_NAMES, PURE_STATE_NAMES,
-                               STATE_NAMES, StateSpec, make_state,
-                               state_vector, validate)
+                               STATE_NAMES, StateSpec, make_state, validate)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -22,6 +21,19 @@ def permute_qubits(rho: np.ndarray, order) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ vectors
+
+def state_vector(name):
+    """Amplitudes of a pure catalog state, read back from its projector.
+
+    Every catalog amplitude is real and non-negative, so it is the square
+    root of the projector's diagonal; the projector must then be its outer
+    product.
+    """
+    rho = make_state(StateSpec(name))
+    vec = np.sqrt(np.diag(rho).real)
+    assert np.max(np.abs(rho - np.outer(vec, vec))) < 1e-15
+    return vec
+
 
 def test_vector_components():
     # basis index is the bitstring q1 q2 q3 read as binary, msb = qubit 1
@@ -52,14 +64,13 @@ def test_vectors_are_normalized(name):
 
 
 def test_vector_orthogonality():
-    assert abs(np.vdot(state_vector("ghz"), state_vector("w"))) < 1e-15
-    assert abs(np.vdot(state_vector("w"), state_vector("wbar"))) < 1e-15
-    assert abs(np.vdot(state_vector("ghz"), state_vector("wwbar"))) < 1e-15
+    # tr(rho_a rho_b) = |<a|b>|^2 for two pure states
+    def overlap(a, b):
+        return abs(np.trace(make_state(StateSpec(a)) @ make_state(StateSpec(b))))
 
-
-def test_vector_rejects_mixed_names():
-    with pytest.raises(ValueError):
-        state_vector("werner-w")
+    assert overlap("ghz", "w") < 1e-30
+    assert overlap("w", "wbar") < 1e-30
+    assert overlap("ghz", "wwbar") < 1e-30
 
 
 # ----------------------------------------------------------------- matrices
@@ -163,9 +174,9 @@ def test_state_spec_rejects_unknown_name():
         StateSpec("ghzz")
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), True, "0.5"])
 def test_state_spec_rejects_bad_weight(p):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must"):
         StateSpec("werner-w", p=p)
 
 
