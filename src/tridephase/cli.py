@@ -13,8 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .runner import (DEFAULT_N_POINTS, ENGINE_ALIASES, FIGURE_IDS, ConfigError,
-                     parse_config, reproduce, run_scenarios)
+from .runner import (ENGINE_ALIASES, FIGURE_IDS, ConfigError, figure_scenarios,
+                     parse_config, run_scenarios)
 
 __all__ = ["main"]
 
@@ -85,15 +85,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            text = Path(args.config).read_text(encoding="utf-8")
-            scenarios = _apply_overrides(parse_config(text), args.engine, args.points)
-            results = run_scenarios(scenarios, args.out_dir)
+            scenarios = parse_config(Path(args.config).read_text(encoding="utf-8"))
         else:
-            engine = args.engine if args.engine is not None else "closed_form"
-            points = args.points if args.points is not None else DEFAULT_N_POINTS
-            if points < 2:
-                raise ConfigError(f"--points must be >= 2, got {points}")
-            results = reproduce(args.figure, args.out_dir, engine=engine, n_points=points)
+            scenarios = figure_scenarios(args.figure)
+        results = run_scenarios(_apply_overrides(scenarios, args.engine, args.points), args.out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

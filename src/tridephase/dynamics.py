@@ -9,11 +9,12 @@ the elementwise solution
                                         + i (Z_m^2 - Z_n^2) M(t)
                                         - (Z_m - Z_n)^2 / 2 * Gamma(t))
 
-while "ode" integrates the right-hand side of the master equation directly
-with fixed-step RK4.  The two routes are kept independent so each one checks
-the other.  Z_m is the collective sigma_z eigenvalue of basis index m and
-the free phases are kept (Schroedinger picture); they drop out of every
-coherence measure.
+while "ode" integrates the dissipator of the master equation with
+fixed-step RK4, in the frame that rotates with the free phase
+exp(-i w0/2 (Z_m - Z_n) t); that phase is multiplied back in exactly on
+output and drops out of every coherence measure.  The two routes are kept
+independent so each one checks the other.  Z_m is the collective sigma_z
+eigenvalue of basis index m.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ ENGINES = ("closed_form", "ode")
 # one row of bits per basis index, qubit 1 first (most significant)
 _BITS = np.array([[(m >> (2 - i)) & 1 for i in range(3)] for m in range(8)])
 _Z = np.sum(1 - 2 * _BITS, axis=1)
+_DZ = _Z[:, None] - _Z[None, :]
 
 # tolerances on the propagated state: normal operation stays within the
 # strict value; past the loose one something is structurally wrong
 _OUTPUT_TOL = 1e-6
+
+# RK4 substeps the ode engine may take for one trace, about 20 s
+_MAX_SUBSTEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,9 @@ def _exponents(bspec: BathSpec, times: np.ndarray, include_lamb_phase: bool = Tr
     """
     t = times[:, None, None]
     big_gamma = cumulative_decoherence(bspec, times)[:, None, None]
-    dz = _Z[:, None] - _Z[None, :]
-    expo = (-0.5j * OMEGA0 * t) * dz
+    expo = (-0.5j * OMEGA0 * t) * _DZ
     if bspec.topology == "common":
-        expo = expo - (dz.astype(float) ** 2 / 2.0) * big_gamma
+        expo = expo - (_DZ.astype(float) ** 2 / 2.0) * big_gamma
         if include_lamb_phase:
             big_m = lamb_kernel(bspec, times)[1][:, None, None]
             zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
@@ -132,51 +136,55 @@ def decoherence_exponent(spec: PropagatorSpec, m: int, n: int, t, include_lamb_p
     return complex(_exponents(spec.bath, np.array([t]), include_lamb_phase)[0, m, n])
 
 
-def _internal_step(bspec: BathSpec, times: np.ndarray) -> float:
-    # the fastest elementwise rates: free phase at (w0/2)|Z_m - Z_n| <= 3 w0,
-    # decay at up to 18 * gamma0 (common) or 6 * gamma0 (local)
-    rate = max(3.0 * OMEGA0, 18.0 * markov_rate(bspec))
-    step = 1e-2 / rate
-    if len(times) > 1:
-        step = min(step, float(np.min(np.diff(times))))
-    return step
+def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
+    """RK4 step: at most the grid spacing, a hundredth of the fastest decay
+    time and, under memory, a tenth of 1/lambda: for every kbt the kernels'
+    nearest complex-time pole lies 1/lambda from the real axis."""
+    steps = [float(np.min(np.diff(times)))] if len(times) > 1 else []
+    gamma0 = markov_rate(bspec)
+    if gamma0 > 0.0:
+        # fastest elementwise decay: (Z_m - Z_n)^2 / 2 <= 18 in the shared
+        # bath, 2 per flipped bit <= 6 with local baths
+        steps.append(1e-2 / ((18.0 if bspec.topology == "common" else 6.0) * gamma0))
+    if bspec.memory == "non_markov":
+        steps.append(0.1 / bspec.lambda_cutoff)
+    return min(steps, default=None)
 
 
 def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
               include_lamb_phase: bool = True) -> np.ndarray:
+    """Integrate the dissipator in the frame rotating with the free phase,
+    then multiply the phase back in exactly."""
     bspec = spec.bath
-    h_mat = np.diag((0.5 * OMEGA0) * _Z).astype(complex)
+    step = _internal_step(bspec, times)
+    substeps = 0 if step is None else int(np.sum(np.maximum(1.0, np.ceil(np.diff(times) / step))))
+    if substeps > _MAX_SUBSTEPS:
+        raise ValueError(
+            f"engine ode: {substeps} RK4 substeps to reach t = {times[-1]:g} at eta = {bspec.eta:g}, "
+            f"over the budget of {_MAX_SUBSTEPS}; raise eta, shorten t_max or use engine closed_form")
+
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        g = dephasing_rate(bspec, t)
+        # with local baths each qubit's Lamb shift multiplies sigma_z^2 = 1
+        shared = include_lamb_phase and bspec.topology == "common"
+        return np.stack([g, lamb_kernel(bspec, t)[0] if shared else 0.0 * g], axis=-1)
 
     if bspec.topology == "common":
         sz = np.diag(_Z.astype(complex))
         sz2 = sz @ sz
 
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            g = dephasing_rate(bspec, t)
-            mu = lamb_kernel(bspec, t)[0] if include_lamb_phase else 0.0
+        def rhs(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+            g, mu = c
             alpha = 0.5 * g - 1j * mu
-            return (-1j * (h_mat @ rho - rho @ h_mat)
-                    + g * (sz @ rho @ sz)
-                    - alpha * (sz2 @ rho)
-                    - np.conj(alpha) * (rho @ sz2))
+            return g * (sz @ rho @ sz) - alpha * (sz2 @ rho) - np.conj(alpha) * (rho @ sz2)
     else:
         sz_locals = [np.diag((1.0 - 2.0 * _BITS[:, i]).astype(complex)) for i in range(3)]
 
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            g = dephasing_rate(bspec, t)
-            out = -1j * (h_mat @ rho - rho @ h_mat)
-            for s in sz_locals:
-                out = out + g * (s @ rho @ s - rho)
-            return out
+        def rhs(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
+            return sum(c[0] * (s @ rho @ s - rho) for s in sz_locals)
 
-    def derivative(t: float, y: np.ndarray) -> np.ndarray:
-        rho = (y[:64] + 1j * y[64:]).reshape(8, 8)
-        drho = rhs(t, rho)
-        return np.concatenate([drho.real.ravel(), drho.imag.ravel()])
-
-    y0 = np.concatenate([rho0.real.ravel(), rho0.imag.ravel()])
-    ys = ode_propagate(derivative, y0, times, max_step=_internal_step(bspec, times))
-    rhos = ys[:, :64].reshape(-1, 8, 8) + 1j * ys[:, 64:].reshape(-1, 8, 8)
+    rhos = ode_propagate(rhs, rho0, times, max_step=step, coefficients=coefficients)
+    rhos = rhos * np.exp((-0.5j * OMEGA0 * times[:, None, None]) * _DZ)
     # re-symmetrize each emitted sample; RK4 drift is below 1e-10 but not zero
     return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0
 

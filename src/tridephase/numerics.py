@@ -2,9 +2,9 @@
 
 Closed-form special functions for complex arguments (the real part of a
 log-gamma ratio and the imaginary part of the digamma function), Hermitian
-eigendecomposition, a fixed-step classical Runge-Kutta integrator and the
-one validator for times and time grids.  Nothing in this module knows about
-baths or qubits.
+eigendecomposition, a fixed-step classical Runge-Kutta integrator that takes
+its time-dependent coefficients as one table, and the one validator for
+times and time grids.  Nothing in this module knows about baths or qubits.
 """
 
 from __future__ import annotations
@@ -50,17 +50,11 @@ def check_time(t, grid: bool = False):
 
     Every time must be finite and >= 0.  With ``grid`` the times must also
     form a nonempty 1-d sequence that starts at 0 and strictly increases.
-    A scalar comes back as a float, anything else as a float ndarray.
+    A 0-d input comes back as a float, anything else as a float ndarray.
 
     Raises:
         ValueError: naming the offending value.
     """
-    # plain floats, such as every RK4 stage time, skip numpy
-    if not grid and (isinstance(t, (int, float)) or np.ndim(t) == 0):
-        value = float(t)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"time must be finite and >= 0, got {value!r}")
-        return value
     times = np.asarray(t, dtype=float)
     if grid and (times.ndim != 1 or len(times) == 0):
         raise ValueError(f"time grid must be a nonempty 1-d sequence, got shape {times.shape}")
@@ -75,7 +69,7 @@ def check_time(t, grid: bool = False):
             i = stalled[0]
             raise ValueError(f"time grid must be strictly increasing, got {float(times[i + 1])!r} "
                              f"after {float(times[i])!r}")
-    return times
+    return float(times) if times.ndim == 0 else times
 
 
 def _stirling_shift(c: float) -> np.ndarray:
@@ -155,15 +149,21 @@ def hermitian_eigendecomposition(matrix) -> HermitianEig:
     return HermitianEig(eigenvalues=values[::-1].copy(), eigenvectors=vectors[:, ::-1].copy())
 
 
-def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: float | None = None) -> np.ndarray:
-    """Integrate dy/dt = derivative(t, y) across a time grid with classical RK4.
+def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: float | None = None,
+                  coefficients: Callable | None = None) -> np.ndarray:
+    """Integrate dy/dt = derivative(c, y) across a time grid with classical RK4.
 
     The grid must start at 0 and increase strictly; the state is reported at
     every grid point (initial value included).  Between grid points the
     integrator takes uniform substeps no longer than ``max_step``.
 
-    Returns an array of shape (len(grid), len(y0)), or (len(grid),) when y0
-    is scalar.
+    ``c`` is the caller's coefficient row at the stage time.  The stage times
+    t, t + h/2 and t + h of every substep are built up front, shape
+    (substeps, 3), and ``coefficients`` maps them to an array indexed the same
+    way in one call; without it ``c`` is the stage time itself.  ``y0`` may
+    have any shape and be real or complex.
+
+    Returns an array of shape (len(grid),) + np.shape(y0).
 
     Raises:
         ValueError: for a malformed grid or non-positive max_step.
@@ -174,25 +174,32 @@ def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: flo
     if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
         raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
 
-    scalar = np.ndim(y0) == 0
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    out = np.empty((len(times), y.size))
+    spans = np.diff(times)
+    n_sub = np.maximum(1, np.ceil(spans / (max_step or math.inf))).astype(int)  # 1 without max_step
+    stop = np.cumsum(n_sub)
+    start = stop - n_sub
+    h = np.repeat(spans / n_sub, n_sub)
+    # t = t0 + j h with j = 0 .. n_sub - 1 within each interval
+    t = np.repeat(times[:-1], n_sub) + (np.arange(len(h)) - np.repeat(start, n_sub)) * h
+    stages = np.stack([t, t + h / 2.0, t + h], axis=-1)
+    rows = stages if coefficients is None else coefficients(stages)
+
+    y = np.array(y0, dtype=np.result_type(y0, float))
+    out = np.empty((len(times),) + y.shape, dtype=y.dtype)
     out[0] = y
     last_good = 0.0
     for k in range(1, len(times)):
-        t0, t1 = times[k - 1], times[k]
-        span = t1 - t0
-        n_sub = 1 if max_step is None else max(1, math.ceil(span / max_step))
-        h = span / n_sub
-        for j in range(n_sub):
-            t = t0 + j * h
-            k1 = np.asarray(derivative(t, y), dtype=float)
-            k2 = np.asarray(derivative(t + h / 2.0, y + (h / 2.0) * k1), dtype=float)
-            k3 = np.asarray(derivative(t + h / 2.0, y + (h / 2.0) * k2), dtype=float)
-            k4 = np.asarray(derivative(t + h, y + h * k3), dtype=float)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for s in range(start[k - 1], stop[k - 1]):
+            c0, c_mid, c1 = rows[s]
+            hs = h[s]
+            k1 = derivative(c0, y)
+            k2 = derivative(c_mid, y + (hs / 2.0) * k1)
+            k3 = derivative(c_mid, y + (hs / 2.0) * k2)
+            k4 = derivative(c1, y + hs * k3)
+            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y)):
-                raise PropagationError(last_good, f"state became non-finite between t={last_good!r} and t={t + h!r}")
-            last_good = t + h
+                raise PropagationError(last_good, f"state became non-finite between t={last_good!r} "
+                                                  f"and t={float(stages[s, 2])!r}")
+            last_good = float(stages[s, 2])
         out[k] = y
-    return out[:, 0] if scalar else out
+    return out

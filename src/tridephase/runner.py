@@ -321,42 +321,31 @@ def run_scenarios(scenarios, out_dir) -> list[RunResult]:
     return [attempt(sc) for sc in scenarios]
 
 
-def figure_scenarios(figure_id: str, engine: str = "closed_form",
-                     n_points: int = DEFAULT_N_POINTS) -> list[ScenarioConfig]:
+def figure_scenarios(figure_id: str) -> list[ScenarioConfig]:
     """Scenario bundle behind one figure id.
 
     fig2a..fig2d sweep the four pure states through one panel each
     (a common/markov, b local/markov, c common/non_markov, d local/non_markov);
     fig3, fig4 and fig5 sweep ghz-w, werner-ghz and werner-w mixtures at
-    p in {0.1, 0.5, 0.9} through all four panels (12 files each).
+    p in {0.1, 0.5, 0.9} through all four panels (12 files each), with the
+    closed-form engine on DEFAULT_N_POINTS samples.
     """
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
-    if engine not in ENGINE_ALIASES:
-        raise ValueError(f"engine must be one of {', '.join(sorted(set(ENGINE_ALIASES)))}; got {engine!r}")
-    engine = ENGINE_ALIASES[engine]
 
-    scenarios = []
     if figure_id.startswith("fig2"):
-        panel = figure_id[-1]
-        topology, memory = next((topo, mem) for pid, topo, mem in _PANELS if pid == panel)
-        for name in _FIG2_STATES:
-            scenarios.append(ScenarioConfig(
-                state=StateSpec(name), bath=BathSpec(topology=topology, memory=memory),
-                t_max=DEFAULT_T_MAX[memory], n_points=n_points, engine=engine,
-                output=f"{figure_id}_{name}.csv"))
+        topology, memory = next((topo, mem) for pid, topo, mem in _PANELS if pid == figure_id[-1])
+        runs = [(StateSpec(name), topology, memory, f"{figure_id}_{name}.csv") for name in _FIG2_STATES]
     else:
-        state_name = _FIGURE_MIXTURES[figure_id]
-        for panel, topology, memory in _PANELS:
-            for p in _MIXTURE_PS:
-                scenarios.append(ScenarioConfig(
-                    state=StateSpec(state_name, p), bath=BathSpec(topology=topology, memory=memory),
-                    t_max=DEFAULT_T_MAX[memory], n_points=n_points, engine=engine,
-                    output=f"{figure_id}{panel}_{state_name}_p{_format_p(p)}.csv"))
-    return scenarios
+        name = _FIGURE_MIXTURES[figure_id]
+        runs = [(StateSpec(name, p), topology, memory, f"{figure_id}{panel}_{name}_p{_format_p(p)}.csv")
+                for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
+    return [ScenarioConfig(state=state, bath=BathSpec(topology=topology, memory=memory),
+                           t_max=DEFAULT_T_MAX[memory], n_points=DEFAULT_N_POINTS,
+                           engine="closed_form", output=output)
+            for state, topology, memory, output in runs]
 
 
-def reproduce(figure_id: str, out_dir, engine: str = "closed_form",
-              n_points: int = DEFAULT_N_POINTS) -> list[RunResult]:
+def reproduce(figure_id: str, out_dir) -> list[RunResult]:
     """Write the CSV bundle for one figure id into out_dir."""
-    return run_scenarios(figure_scenarios(figure_id, engine, n_points), out_dir)
+    return run_scenarios(figure_scenarios(figure_id), out_dir)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tridephase.bath import BathSpec, lamb_kernel, markov_rate
+from tridephase import dynamics
+from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, lamb_kernel, markov_rate
 from tridephase.dynamics import (ENGINES, OMEGA0, PropagatorSpec,
                                  _check_output, coherence_trace,
                                  decoherence_exponent, propagate,
@@ -183,6 +184,32 @@ def test_engines_agree_on_mixture():
     closed = propagate_grid(LOCAL_M, rho0, times)
     ode = propagate_grid(PropagatorSpec(bath=LOCAL_M.bath, engine="ode"), rho0, times)
     assert np.max(np.abs(closed - ode)) < 1e-6
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("memory", MEMORIES)
+def test_engines_agree_without_coupling(topology, memory):
+    # eta = 0 leaves only the free phase; no decay rate bounds the ODE step
+    bath = BathSpec(eta=0.0, topology=topology, memory=memory)
+    rho0 = make_state(StateSpec("ghz"))
+    closed = propagate(PropagatorSpec(bath=bath), rho0, 5.0)
+    ode = propagate(PropagatorSpec(bath=bath, engine="ode"), rho0, 5.0)
+    assert np.max(np.abs(closed - ode)) < 1e-12
+    assert abs(ode[0, 7]) == pytest.approx(0.5)
+
+
+def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(dynamics, "dephasing_rate", kernel)
+    monkeypatch.setattr(dynamics, "lamb_kernel", kernel)
+    bath = BathSpec(eta=1e-8, memory="non_markov")
+    spec = PropagatorSpec(bath=bath, engine="ode")
+    times = np.linspace(0.0, 0.2, 201) / markov_rate(bath)
+    with pytest.raises(ValueError, match="eta = 1e-08") as info:
+        propagate_grid(spec, make_state(StateSpec("ghz")), times)
+    assert "t_max" in str(info.value) and "closed_form" in str(info.value)
 
 
 # ------------------------------------------------------------------- traces

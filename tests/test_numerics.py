@@ -207,3 +207,19 @@ def test_ode_blowup_reports_last_good_time():
             ode_propagate(lambda t, y: y * y, 1.0, [0.0, 2.0], max_step=0.01)
     t_good = info.value.last_good_time
     assert 0.0 <= t_good <= 2.0
+
+
+def test_ode_complex_matrix_state_with_one_coefficient_call():
+    # d rho/dt = -2 t i rho, coefficient -2 t tabulated once for every stage
+    calls = []
+
+    def table(stages):
+        calls.append(stages.shape)
+        return -2.0 * stages
+
+    rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    ys = ode_propagate(lambda c, y: 1j * c * y, rho0, np.linspace(0.0, 1.0, 5), max_step=0.01,
+                       coefficients=table)
+    assert ys.shape == (5, 2, 2) and ys.dtype == complex
+    assert calls == [(100, 3)]
+    assert np.max(np.abs(ys[-1] - rho0 * np.exp(-1j))) < 1e-8

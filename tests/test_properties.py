@@ -1,10 +1,11 @@
-"""Property tests: C_R along a trace against a per-sample reference.
+"""Property tests on drawn scenarios.
 
-The reference takes C_R one matrix at a time, so any batched trace path
-must reproduce it bit for bit.  Closed-form engine only: the ODE engine's
-step count grows with the drawn window, and criterion 11 already holds it
-to the closed form.
+C_R along a trace is checked against a per-sample reference, which takes
+C_R one matrix at a time, so any batched trace path must reproduce it bit
+for bit.  The two engines are checked against each other on drawn baths.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -69,3 +70,24 @@ def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     values = coherence_trace(spec, sc["state"], grid).values
     decaying = np.diff(cumulative_decoherence(sc["bath"], times)) >= 0.0
     assert np.all(np.diff(values)[decaying] <= 1e-12)
+
+
+# the benchmark's kernel ranges, with eta drawn log-uniformly down to 1e-4
+engine_scenarios = st.fixed_dictionaries({
+    "state": st.builds(StateSpec, st.sampled_from(STATE_NAMES), st.floats(0.0, 1.0)),
+    "bath": st.builds(BathSpec, eta=st.floats(math.log(1e-4), math.log(0.2)).map(math.exp),
+                      lambda_cutoff=st.floats(0.005, 0.05), kbt=st.floats(0.04, 0.2),
+                      topology=st.sampled_from(TOPOLOGIES), memory=st.sampled_from(MEMORIES)),
+    "t_max": st.floats(0.01, 1.0),
+    "n_points": st.integers(2, 6),
+})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(engine_scenarios)
+def test_engines_agree_on_drawn_baths(sc):
+    times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
+    rho0 = make_state(sc["state"])
+    closed = propagate_grid(PropagatorSpec(bath=sc["bath"]), rho0, times)
+    ode = propagate_grid(PropagatorSpec(bath=sc["bath"], engine="ode"), rho0, times)
+    assert np.max(np.abs(closed - ode)) < TOL

@@ -67,6 +67,16 @@ def test_parse_engine_alias():
     assert sc.engine == "closed_form"
 
 
+@pytest.mark.parametrize("field, engine", [
+    (", engine: ode", "ode"),
+    (", engine: closed-form", "closed_form"),
+    ("", "closed_form"),
+])
+def test_parse_engine_reaches_the_scenario(field, engine):
+    (sc,) = parse_config(f"scenarios:\n  - {{state: ghz, topology: local, memory: non_markov{field}}}\n")
+    assert sc.engine == engine
+
+
 def test_parse_mixture_sweep_expands_in_order():
     text = """
 scenarios:
@@ -321,7 +331,7 @@ def test_figure_catalog_rejects_unknown_id():
 
 
 def test_reproduce_writes_bundle(tmp_path):
-    results = reproduce("fig2b", tmp_path, n_points=3)
+    results = reproduce("fig2b", tmp_path)
     assert all(r.ok for r in results)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fig2b_ghz.csv", "fig2b_star.csv", "fig2b_w.csv", "fig2b_wwbar.csv"]
@@ -347,6 +357,24 @@ def test_cli_run_engine_and_points_override(tmp_path):
     assert code == 0
     data = (tmp_path / "ghz_common_markov.csv").read_bytes()
     assert data.count(b"\n") == 9 + 3
+
+
+def test_cli_run_engine_ode_reaches_the_csv(tmp_path):
+    cfg = tmp_path / "traces.yaml"
+    cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: non_markov, n_points: 3}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), "--engine", "ode"]) == 0
+    lines = (tmp_path / "ghz_common_non_markov.csv").read_text().splitlines()
+    assert lines[7] == "# engine=ode"
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+def test_cli_rejects_fewer_than_two_points(tmp_path, capsys, command):
+    cfg = tmp_path / "traces.yaml"
+    cfg.write_text(MINIMAL)
+    target = str(cfg) if command == "run" else "fig2a"
+    assert main([command, target, "--out-dir", str(tmp_path / "out"), "--points", "1"]) == 2
+    assert "--points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_reproduce(tmp_path, capsys):
@@ -395,17 +423,30 @@ def test_cli_failing_scenario_exits_one(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
-def test_cli_weak_coupling_long_window_exits_zero(tmp_path, capsys):
+@pytest.mark.parametrize("engine", ["closed-form", "ode"])
+def test_cli_weak_coupling_long_window_exits_zero(tmp_path, capsys, engine):
     # gamma0 = 1e-4 stretches g0 t = 3 to t = 3e4, where the bath kernels
-    # must stay accurate at long times
+    # must stay accurate at long times and the ODE step must not shrink
+    # with eta
     cfg = tmp_path / "weak.yaml"
     cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: non_markov, "
-                   "eta: 0.0001, t_max: 3.0}\n")
+                   f"eta: 0.0001, t_max: 3.0, engine: {engine}}}\n")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
     lines = (tmp_path / "ghz_common_non_markov.csv").read_text().splitlines()
     values = [float(line.split(",")[1]) for line in lines[9:]]
     assert len(values) == DEFAULT_N_POINTS
     assert values[0] == pytest.approx(math.log(2.0)) and 0.0 <= values[-1] < values[0]
+
+
+def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
+    # gamma0 t = 0.2 at eta = 1e-8 is t = 2e7, some 2e6 steps of 0.1/lambda
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: non_markov, "
+                   "eta: 1.0e-8, engine: ode}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "eta" in err and "t_max" in err and "closed_form" in err
+    assert not (tmp_path / "ghz_common_non_markov.csv").exists()
 
 
 # ------------------------------------------------------------------- golden
