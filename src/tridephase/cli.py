@@ -64,14 +64,12 @@ def _apply_overrides(scenarios, engine, points):
 
 
 def _report(results) -> int:
-    failed = 0
     for res in results:
         if res.ok:
             print(f"wrote {res.path}")
         else:
-            failed += 1
             print(f"FAILED {res.scenario.output}: {res.error}", file=sys.stderr)
-    return 1 if failed else 0
+    return 0 if all(res.ok for res in results) else 1
 
 
 def main(argv=None) -> int:
@@ -89,10 +87,7 @@ def main(argv=None) -> int:
         else:
             scenarios = figure_scenarios(args.figure)
         results = run_scenarios(_apply_overrides(scenarios, args.engine, args.points), args.out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

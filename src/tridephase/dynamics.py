@@ -25,7 +25,7 @@ import numpy as np
 
 from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from .measures import CoherenceTrace, rel_entropy_coherence
-from .numerics import check_time, ode_propagate
+from .numerics import check_time, ode_propagate, substep_counts
 from .states import StateSpec, make_state, validate
 
 __all__ = [
@@ -48,8 +48,7 @@ _BITS = np.array([[(m >> (2 - i)) & 1 for i in range(3)] for m in range(8)])
 _Z = np.sum(1 - 2 * _BITS, axis=1)
 _DZ = _Z[:, None] - _Z[None, :]
 
-# tolerances on the propagated state: normal operation stays within the
-# strict value; past the loose one something is structurally wrong
+# tolerance on the density-matrix invariants of every propagated state
 _OUTPUT_TOL = 1e-6
 
 # RK4 substeps the ode engine may take for one trace, about 20 s
@@ -137,17 +136,21 @@ def decoherence_exponent(spec: PropagatorSpec, m: int, n: int, t, include_lamb_p
 
 
 def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
-    """RK4 step: at most the grid spacing, a hundredth of the fastest decay
-    time and, under memory, a tenth of 1/lambda: for every kbt the kernels'
-    nearest complex-time pole lies 1/lambda from the real axis."""
+    """RK4 step: at most the grid spacing, with memory a tenth of 1/lambda
+    (the kernels' nearest complex-time pole lies 1/lambda off the real
+    axis), and a hundredth of the time scale of the fastest elementwise
+    rate: (Z_m - Z_n)^2 / 2 gamma <= 18 gamma and |Z_m^2 - Z_n^2| mu <= 8 mu
+    in the shared bath, 2 gamma per flipped bit <= 6 gamma with local baths.
+    With memory, gamma(t) peaks and mu(t) levels off near eta * lambda, far
+    above gamma0 when kbt << lambda.
+    """
     steps = [float(np.min(np.diff(times)))] if len(times) > 1 else []
-    gamma0 = markov_rate(bspec)
-    if gamma0 > 0.0:
-        # fastest elementwise decay: (Z_m - Z_n)^2 / 2 <= 18 in the shared
-        # bath, 2 per flipped bit <= 6 with local baths
-        steps.append(1e-2 / ((18.0 if bspec.topology == "common" else 6.0) * gamma0))
+    rate = markov_rate(bspec)
     if bspec.memory == "non_markov":
+        rate = max(rate, bspec.eta * bspec.lambda_cutoff)
         steps.append(0.1 / bspec.lambda_cutoff)
+    if rate > 0.0:
+        steps.append(1e-2 / ((18.0 if bspec.topology == "common" else 6.0) * rate))
     return min(steps, default=None)
 
 
@@ -157,7 +160,7 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
     then multiply the phase back in exactly."""
     bspec = spec.bath
     step = _internal_step(bspec, times)
-    substeps = 0 if step is None else int(np.sum(np.maximum(1.0, np.ceil(np.diff(times) / step))))
+    substeps = int(np.sum(substep_counts(np.diff(times), step)))
     if substeps > _MAX_SUBSTEPS:
         raise ValueError(
             f"engine ode: {substeps} RK4 substeps to reach t = {times[-1]:g} at eta = {bspec.eta:g}, "

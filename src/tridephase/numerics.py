@@ -22,6 +22,7 @@ __all__ = [
     "loggamma_re_diff",
     "digamma_im",
     "hermitian_eigendecomposition",
+    "substep_counts",
     "ode_propagate",
 ]
 
@@ -149,6 +150,11 @@ def hermitian_eigendecomposition(matrix) -> HermitianEig:
     return HermitianEig(eigenvalues=values[::-1].copy(), eigenvectors=vectors[:, ::-1].copy())
 
 
+def substep_counts(spans, max_step: float | None) -> np.ndarray:
+    """RK4 substeps per grid interval, each at most ``max_step`` (one without it)."""
+    return np.maximum(1, np.ceil(np.asarray(spans) / (max_step or math.inf))).astype(int)
+
+
 def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: float | None = None,
                   coefficients: Callable | None = None) -> np.ndarray:
     """Integrate dy/dt = derivative(c, y) across a time grid with classical RK4.
@@ -175,7 +181,7 @@ def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: flo
         raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
 
     spans = np.diff(times)
-    n_sub = np.maximum(1, np.ceil(spans / (max_step or math.inf))).astype(int)  # 1 without max_step
+    n_sub = substep_counts(spans, max_step)
     stop = np.cumsum(n_sub)
     start = stop - n_sub
     h = np.repeat(spans / n_sub, n_sub)

@@ -105,9 +105,5 @@ def validate(rho) -> StateReport:
         raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = float(abs(np.trace(rho) - 1.0))
-    if math.isfinite(herm):
-        eigenvalues = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        min_eig = float(eigenvalues[0])
-    else:
-        min_eig = -math.inf
+    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) if math.isfinite(herm) else -math.inf
     return StateReport(hermiticity_residual=herm, trace_residual=trace, min_eigenvalue=min_eig)

@@ -198,6 +198,19 @@ def test_engines_agree_without_coupling(topology, memory):
     assert abs(ode[0, 7]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("state", ["ghz", "star"])
+def test_engines_agree_when_memory_outpaces_gamma0(topology, state):
+    # lambda / kbt = 1e3: the early peak of gamma(t) and the Lamb rate
+    # 8 mu(t) reach eta * lambda = 0.5, some 80 times gamma0
+    bath = BathSpec(eta=0.5, lambda_cutoff=1.0, kbt=1e-3, topology=topology, memory="non_markov")
+    rho0 = make_state(StateSpec(state))
+    times = np.linspace(0.0, 3.0, 4)
+    closed = propagate_grid(PropagatorSpec(bath=bath), rho0, times)
+    ode = propagate_grid(PropagatorSpec(bath=bath, engine="ode"), rho0, times)
+    assert np.max(np.abs(closed - ode)) < 1e-6
+
+
 def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
     def kernel(*args):
         raise AssertionError("kernel called")
