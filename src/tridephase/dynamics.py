@@ -10,7 +10,8 @@ the elementwise solution
                                         - (Z_m - Z_n)^2 / 2 * Gamma(t))
 
 while "ode" integrates the dissipator of the master equation with
-fixed-step RK4, in the frame that rotates with the free phase
+fixed-step RK4, element by element at the rates read off its operator
+form, in the frame that rotates with the free phase
 exp(-i w0/2 (Z_m - Z_n) t); that phase is multiplied back in exactly on
 output and drops out of every coherence measure.  The two routes are kept
 independent so each one checks the other.  Z_m is the collective sigma_z
@@ -48,10 +49,21 @@ _BITS = np.array([[(m >> (2 - i)) & 1 for i in range(3)] for m in range(8)])
 _Z = np.sum(1 - 2 * _BITS, axis=1)
 _DZ = _Z[:, None] - _Z[None, :]
 
+# the dissipator in operator form, the maps on matrix stacks that multiply gamma(t)
+# and mu(t); a local bath's Lamb shift multiplies sigma_z^2 = 1 and drops out
+_SZ = np.diag(_Z.astype(float))
+_SZ_LOCAL = [np.diag(1.0 - 2.0 * _BITS[:, i]) for i in range(3)]
+_DISSIPATORS = {
+    "common": (lambda rho: _SZ @ rho @ _SZ - (_SZ @ _SZ @ rho + rho @ _SZ @ _SZ) / 2.0,
+               lambda rho: 1j * (_SZ @ _SZ @ rho - rho @ _SZ @ _SZ)),
+    "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
+}
+
 # tolerance on the density-matrix invariants of every propagated state
 _OUTPUT_TOL = 1e-6
 
-# RK4 substeps the ode engine may take for one trace, about 20 s
+# RK4 substeps the ode engine may take for one trace; it bounds the stage-time
+# and coefficient tables, and such a trace takes about 0.4 s
 _MAX_SUBSTEPS = 200_000
 
 
@@ -136,14 +148,11 @@ def decoherence_exponent(spec: PropagatorSpec, m: int, n: int, t, include_lamb_p
 
 
 def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
-    """RK4 step: at most the grid spacing, with memory a tenth of 1/lambda
-    (the kernels' nearest complex-time pole lies 1/lambda off the real
-    axis), and a hundredth of the time scale of the fastest elementwise
-    rate: (Z_m - Z_n)^2 / 2 gamma <= 18 gamma and |Z_m^2 - Z_n^2| mu <= 8 mu
-    in the shared bath, 2 gamma per flipped bit <= 6 gamma with local baths.
-    With memory, gamma(t) peaks and mu(t) levels off near eta * lambda, far
-    above gamma0 when kbt << lambda.
-    """
+    """RK4 step: at most the grid spacing, with memory 0.1/lambda (the
+    kernels' nearest complex-time pole lies 1/lambda off the real axis), and
+    1e-2 over the fastest elementwise rate, 18 gamma in the shared bath (its
+    Lamb rate is 8 mu) or 6 gamma with local baths.  With memory gamma(t)
+    peaks and mu(t) levels off near eta * lambda, above gamma0 if kbt << lambda."""
     steps = [float(np.min(np.diff(times)))] if len(times) > 1 else []
     rate = markov_rate(bspec)
     if bspec.memory == "non_markov":
@@ -154,10 +163,20 @@ def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
     return min(steps, default=None)
 
 
+def _schur_weights(maps) -> np.ndarray:
+    """Each map applied to the 64 basis matrices E_mn: the factor it puts on
+    rho_mn, shape (len(maps), 8, 8).  RuntimeError if a map mixes elements."""
+    superops = np.stack([apply(np.eye(64).reshape(64, 8, 8)) for apply in maps]).reshape(-1, 64, 64)
+    if np.any(superops * (1.0 - np.eye(64))):
+        raise RuntimeError("dissipator mixes matrix elements: it is not a Schur multiplier")
+    return superops[:, range(64), range(64)].reshape(-1, 8, 8)
+
+
 def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
               include_lamb_phase: bool = True) -> np.ndarray:
     """Integrate the dissipator in the frame rotating with the free phase,
-    then multiply the phase back in exactly."""
+    then multiply that phase back in exactly.  Each rho_mn decays at its own
+    rate gamma(t) W_g + mu(t) W_mu, weights read off _DISSIPATORS."""
     bspec = spec.bath
     step = _internal_step(bspec, times)
     substeps = int(np.sum(substep_counts(np.diff(times), step)))
@@ -168,25 +187,11 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
 
     def coefficients(t: np.ndarray) -> np.ndarray:
         g = dephasing_rate(bspec, t)
-        # with local baths each qubit's Lamb shift multiplies sigma_z^2 = 1
-        shared = include_lamb_phase and bspec.topology == "common"
-        return np.stack([g, lamb_kernel(bspec, t)[0] if shared else 0.0 * g], axis=-1)
+        return np.stack([g, lamb_kernel(bspec, t)[0] if include_lamb_phase else 0.0 * g], axis=-1)
 
-    if bspec.topology == "common":
-        sz = np.diag(_Z.astype(complex))
-        sz2 = sz @ sz
-
-        def rhs(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
-            g, mu = c
-            alpha = 0.5 * g - 1j * mu
-            return g * (sz @ rho @ sz) - alpha * (sz2 @ rho) - np.conj(alpha) * (rho @ sz2)
-    else:
-        sz_locals = [np.diag((1.0 - 2.0 * _BITS[:, i]).astype(complex)) for i in range(3)]
-
-        def rhs(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
-            return sum(c[0] * (s @ rho @ s - rho) for s in sz_locals)
-
-    rhos = ode_propagate(rhs, rho0, times, max_step=step, coefficients=coefficients)
+    weights = _schur_weights(_DISSIPATORS[bspec.topology])
+    rhos = ode_propagate(lambda c: np.tensordot(c, weights, axes=1), rho0, times, step,
+                         coefficients=coefficients)
     rhos = rhos * np.exp((-0.5j * OMEGA0 * times[:, None, None]) * _DZ)
     # re-symmetrize each emitted sample; RK4 drift is below 1e-10 but not zero
     return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0

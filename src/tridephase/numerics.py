@@ -2,9 +2,10 @@
 
 Closed-form special functions for complex arguments (the real part of a
 log-gamma ratio and the imaginary part of the digamma function), Hermitian
-eigendecomposition, a fixed-step classical Runge-Kutta integrator that takes
-its time-dependent coefficients as one table, and the one validator for
-times and time grids.  Nothing in this module knows about baths or qubits.
+eigendecomposition, a fixed-step classical Runge-Kutta integrator for
+elementwise-linear equations that takes its time-dependent coefficients as
+one table and the substeps of an interval as one array product, and the one
+validator for times and time grids.  Nothing here knows about baths or qubits.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-8
+
+# RK4 substeps whose amplification factors ode_propagate forms in one array
+_BLOCK = 256
 
 # Stirling series: Bernoulli numbers B_2k for k = 1..7, the exponents 2k and
 # 2k - 1, and the smallest real part at which the series is applied.  At
@@ -155,26 +159,21 @@ def substep_counts(spans, max_step: float | None) -> np.ndarray:
     return np.maximum(1, np.ceil(np.asarray(spans) / (max_step or math.inf))).astype(int)
 
 
-def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: float | None = None,
-                  coefficients: Callable | None = None) -> np.ndarray:
-    """Integrate dy/dt = derivative(c, y) across a time grid with classical RK4.
+def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | None = None, *,
+                  coefficients: Callable) -> np.ndarray:
+    """Integrate the elementwise-linear dy/dt = rate(c) * y with classical
+    RK4 over a grid from 0, strictly increasing; y is reported, as complex,
+    at every grid point (y0 included).
 
-    The grid must start at 0 and increase strictly; the state is reported at
-    every grid point (initial value included).  Between grid points the
-    integrator takes uniform substeps no longer than ``max_step``.
+    Substeps are uniform within an interval and no longer than ``max_step``.
+    Their stage times t, t + h/2, t + h, shape (substeps, 3), go through
+    ``coefficients`` in one call; ``rate`` maps m such rows to the stage
+    rates, shape (m, 3) + np.shape(y0).  An RK4 substep of such an equation
+    multiplies y by a factor of its stage rates alone, so each interval forms
+    its factors in blocks of at most _BLOCK and multiplies in their product.
 
-    ``c`` is the caller's coefficient row at the stage time.  The stage times
-    t, t + h/2 and t + h of every substep are built up front, shape
-    (substeps, 3), and ``coefficients`` maps them to an array indexed the same
-    way in one call; without it ``c`` is the stage time itself.  ``y0`` may
-    have any shape and be real or complex.
-
-    Returns an array of shape (len(grid),) + np.shape(y0).
-
-    Raises:
-        ValueError: for a malformed grid or non-positive max_step.
-        PropagationError: if the state stops being finite; the exception
-            carries the last time at which it was still good.
+    Raises ValueError for a malformed grid or max_step, and PropagationError,
+    carrying the last good grid time, once the state stops being finite.
     """
     times = check_time(grid, grid=True)
     if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
@@ -187,25 +186,21 @@ def ode_propagate(derivative: Callable, y0, grid: Sequence[float], max_step: flo
     h = np.repeat(spans / n_sub, n_sub)
     # t = t0 + j h with j = 0 .. n_sub - 1 within each interval
     t = np.repeat(times[:-1], n_sub) + (np.arange(len(h)) - np.repeat(start, n_sub)) * h
-    stages = np.stack([t, t + h / 2.0, t + h], axis=-1)
-    rows = stages if coefficients is None else coefficients(stages)
+    rows = coefficients(np.stack([t, t + h / 2.0, t + h], axis=-1))
 
-    y = np.array(y0, dtype=np.result_type(y0, float))
-    out = np.empty((len(times),) + y.shape, dtype=y.dtype)
+    y = np.asarray(y0)
+    h = h.reshape((-1,) + (1,) * y.ndim)
+    out = np.empty((len(times),) + y.shape, dtype=complex)
     out[0] = y
-    last_good = 0.0
     for k in range(1, len(times)):
-        for s in range(start[k - 1], stop[k - 1]):
-            c0, c_mid, c1 = rows[s]
-            hs = h[s]
-            k1 = derivative(c0, y)
-            k2 = derivative(c_mid, y + (hs / 2.0) * k1)
-            k3 = derivative(c_mid, y + (hs / 2.0) * k2)
-            k4 = derivative(c1, y + hs * k3)
-            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise PropagationError(last_good, f"state became non-finite between t={last_good!r} "
-                                                  f"and t={float(stages[s, 2])!r}")
-            last_good = float(stages[s, 2])
+        for s in range(start[k - 1], stop[k - 1], _BLOCK):
+            block = slice(s, min(s + _BLOCK, stop[k - 1]))
+            (a0, am, a1), hb = np.moveaxis(rate(rows[block]), 1, 0), h[block]
+            k2 = am * (1.0 + (hb / 2.0) * a0)
+            k3 = am * (1.0 + (hb / 2.0) * k2)
+            k4 = a1 * (1.0 + hb * k3)
+            y = y * np.prod(1.0 + (hb / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), axis=0)
+        if not np.all(np.isfinite(y)):
+            raise PropagationError(float(times[k - 1]), f"state became non-finite after t={times[k - 1]:g}")
         out[k] = y
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tridephase.dynamics import (ENGINES, OMEGA0, PropagatorSpec,
                                  decoherence_exponent, propagate,
                                  propagate_grid, z_weight)
 from tridephase.measures import rel_entropy_coherence
+from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
 
 COMMON_M = PropagatorSpec(bath=BathSpec(topology="common", memory="markov"))
@@ -223,6 +225,63 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
     with pytest.raises(ValueError, match="eta = 1e-08") as info:
         propagate_grid(spec, make_state(StateSpec("ghz")), times)
     assert "t_max" in str(info.value) and "closed_form" in str(info.value)
+
+
+def test_ode_peak_memory_is_bounded_by_blocks():
+    # one interval of 14400 RK4 substeps; the factors are formed 256 at a time
+    rho0 = make_state(StateSpec("ghz"))
+    spec = PropagatorSpec(bath=BathSpec(), engine="ode")
+    tracemalloc.start()
+    try:
+        propagate(spec, rho0, 80.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_dissipator_weights_are_read_off_the_operator_form(topology):
+    weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
+    assert weights.shape == (2, 8, 8)
+    z = np.array([z_weight(m) for m in range(8)])
+    if topology == "common":
+        expected_g = -((z[:, None] - z[None, :]) ** 2) / 2.0
+        expected_mu = 1j * (z[:, None] ** 2 - z[None, :] ** 2)
+    else:
+        flipped = [bin(m ^ n).count("1") for m in range(8) for n in range(8)]
+        expected_g = -2.0 * np.reshape(flipped, (8, 8))
+        expected_mu = np.zeros((8, 8))
+    assert np.array_equal(weights[0], expected_g)
+    assert np.array_equal(weights[1], expected_mu)
+
+
+def test_schur_weights_reject_a_map_that_mixes_elements():
+    sx = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(4))
+    with pytest.raises(RuntimeError, match="Schur"):
+        dynamics._schur_weights([lambda rho: sx @ rho @ sx])
+
+
+@pytest.mark.parametrize("topology, memory, substeps", [
+    ("common", "markov", 5509),
+    ("local", "markov", 1911),
+    ("common", "non_markov", 400),
+    ("local", "non_markov", 399),
+])
+def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, substeps):
+    # the stage-time table has one row per RK4 substep
+    taken = []
+
+    def counting(rate, y0, grid, max_step=None, *, coefficients):
+        def table(stages):
+            taken.append(len(stages))
+            return coefficients(stages)
+        return ode_propagate(rate, y0, grid, max_step, coefficients=table)
+
+    monkeypatch.setattr(dynamics, "ode_propagate", counting)
+    spec = PropagatorSpec(bath=BathSpec(topology=topology, memory=memory), engine="ode")
+    coherence_trace(spec, StateSpec("ghz"), np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201))
+    assert taken == [substeps]
 
 
 # ------------------------------------------------------------------- traces

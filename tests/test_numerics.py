@@ -1,6 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tridephase.numerics import (HermitianEig, PropagationError, check_time,
                                  digamma_im, hermitian_eigendecomposition,
@@ -138,48 +142,51 @@ def test_eigendecomposition_result_is_frozen():
 
 # -------------------------------------------------------------- integrator
 
+def time_table(stages):
+    """Coefficients that are the stage times themselves."""
+    return stages
+
+
+def constant(value):
+    """A rate that is ``value`` at every stage of a scalar state."""
+    return lambda c: np.full(np.shape(c), value)
+
+
 def test_ode_linear_decay():
-    ys = ode_propagate(lambda t, y: -y, 1.0, [0.0, 1.0], max_step=0.01)
+    ys = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)
     assert abs(ys[-1] - E_INV) < 1e-7
 
 
 def test_ode_time_dependent_coefficient():
     # dy/dt = -2 t y has solution exp(-t^2)
-    ys = ode_propagate(lambda t, y: -2.0 * t * y, 1.0, [0.0, 1.0], max_step=0.01)
+    ys = ode_propagate(lambda t: -2.0 * t, 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)
     assert abs(ys[-1] - E_INV) < 1e-7
 
 
 def test_ode_slow_decay_long_window():
-    ys = ode_propagate(lambda t, y: -0.2 * y, 1.0, [0.0, 5.0], max_step=0.05)
+    ys = ode_propagate(constant(-0.2), 1.0, [0.0, 5.0], max_step=0.05, coefficients=time_table)
     assert abs(ys[-1] - E_INV) < 1e-7
-
-
-def test_ode_vector_rotation():
-    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
-    ys = ode_propagate(lambda t, y: gen @ y, np.array([1.0, 0.0]),
-                       [0.0, np.pi / 2.0], max_step=0.01)
-    assert np.max(np.abs(ys[-1] - np.array([0.0, 1.0]))) < 1e-8
 
 
 def test_ode_fourth_order_convergence():
     exact = E_INV
     errs = []
     for h in (0.2, 0.1):
-        ys = ode_propagate(lambda t, y: -y, 1.0, [0.0, 1.0], max_step=h)
+        ys = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=h, coefficients=time_table)
         errs.append(abs(ys[-1] - exact))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.8
 
 
 def test_ode_step_refinement_is_converged():
-    coarse = ode_propagate(lambda t, y: -y, 1.0, [0.0, 1.0], max_step=0.01)[-1]
-    fine = ode_propagate(lambda t, y: -y, 1.0, [0.0, 1.0], max_step=0.005)[-1]
+    coarse = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)[-1]
+    fine = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.005, coefficients=time_table)[-1]
     assert abs(coarse - fine) / abs(fine) < 1e-8
 
 
 def test_ode_samples_every_grid_point():
     grid = np.linspace(0.0, 2.0, 9)
-    ys = ode_propagate(lambda t, y: -y, 1.0, grid, max_step=0.01)
+    ys = ode_propagate(constant(-1.0), 1.0, grid, max_step=0.01, coefficients=time_table)
     assert ys.shape == (9,)
     assert np.max(np.abs(ys - np.exp(-grid))) < 1e-8
 
@@ -192,21 +199,23 @@ def test_ode_samples_every_grid_point():
 ])
 def test_ode_grid_validation(grid):
     with pytest.raises(ValueError):
-        ode_propagate(lambda t, y: -y, 1.0, grid)
+        ode_propagate(constant(-1.0), 1.0, grid, coefficients=time_table)
 
 
 def test_ode_rejects_bad_max_step():
     with pytest.raises(ValueError):
-        ode_propagate(lambda t, y: -y, 1.0, [0.0, 1.0], max_step=0.0)
+        ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.0, coefficients=time_table)
 
 
 def test_ode_blowup_reports_last_good_time():
-    # dy/dt = y^2 from y(0) = 1 diverges at t = 1
+    # dy/dt = 1000 y: each 0.5-long interval multiplies y by about 1e140, so
+    # the state overflows in the third interval
+    grid = np.linspace(0.0, 2.0, 5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PropagationError) as info:
-            ode_propagate(lambda t, y: y * y, 1.0, [0.0, 2.0], max_step=0.01)
-    t_good = info.value.last_good_time
-    assert 0.0 <= t_good <= 2.0
+            ode_propagate(constant(1000.0), 1.0, grid, max_step=0.01, coefficients=time_table)
+    assert info.value.last_good_time == 1.0
+    assert info.value.last_good_time in grid
 
 
 def test_ode_complex_matrix_state_with_one_coefficient_call():
@@ -218,8 +227,69 @@ def test_ode_complex_matrix_state_with_one_coefficient_call():
         return -2.0 * stages
 
     rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
-    ys = ode_propagate(lambda c, y: 1j * c * y, rho0, np.linspace(0.0, 1.0, 5), max_step=0.01,
-                       coefficients=table)
+    ys = ode_propagate(lambda c: 1j * c[..., None, None] * np.ones((2, 2)), rho0,
+                       np.linspace(0.0, 1.0, 5), max_step=0.01, coefficients=table)
     assert ys.shape == (5, 2, 2) and ys.dtype == complex
     assert calls == [(100, 3)]
     assert np.max(np.abs(ys[-1] - rho0 * np.exp(-1j))) < 1e-8
+
+
+def test_ode_rate_is_called_once_per_block_of_an_interval():
+    # 600 substeps in the first interval, 25 in the second
+    blocks = []
+
+    def rate(c):
+        blocks.append(len(c))
+        return -np.ones_like(c)
+
+    ys = ode_propagate(rate, 1.0, [0.0, 6.0, 6.25], max_step=0.01, coefficients=time_table)
+    assert blocks == [256, 256, 88, 25]
+    assert abs(ys[-1] - np.exp(-6.25)) < 1e-9
+
+
+def textbook_rk4(rate, y0, grid, max_step):
+    """Classical RK4 on dy/dt = rate(t) * y, one substep at a time."""
+    y = np.array(y0, dtype=complex)
+    out = [y]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        n = max(1, math.ceil((t1 - t0) / max_step))
+        h = (t1 - t0) / n
+        for j in range(n):
+            t = t0 + j * h
+            k1 = rate(t) * y
+            k2 = rate(t + h / 2.0) * (y + h / 2.0 * k1)
+            k3 = rate(t + h / 2.0) * (y + h / 2.0 * k2)
+            k4 = rate(t + h) * (y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+complex_coefficients = st.lists(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=3, max_size=3)
+rk4_cases = st.fixed_dictionaries({
+    "offset": complex_coefficients,
+    "slope": complex_coefficients,
+    "wobble": complex_coefficients,
+    "spans": st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4),
+    "max_step": st.floats(2e-3, 0.01),
+})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@example({"offset": [-1.0, 0.5j, 2.0 - 1.0j], "slope": [0.0, 1.0, -0.5j], "wobble": [1.0j, 0.0, 1.0],
+          "spans": [1.8, 0.01, 2.0], "max_step": 4e-3})
+@given(rk4_cases)
+def test_ode_blocked_product_matches_textbook_rk4(case):
+    # three elements, each with its own complex rate a + b t + c sin(3 t)
+    offset, slope, wobble = (np.array(case[key]) for key in ("offset", "slope", "wobble"))
+
+    def rate_at(t):
+        return offset + slope * t + wobble * np.sin(3.0 * t)
+
+    grid = np.concatenate([[0.0], np.cumsum(case["spans"])])
+    y0 = np.array([1.0, 0.5 - 0.5j, -2.0j])
+    ys = ode_propagate(lambda c: rate_at(c[..., None]), y0, grid, max_step=case["max_step"],
+                       coefficients=time_table)
+    expected = textbook_rk4(rate_at, y0, grid, case["max_step"])
+    assert np.max(np.abs(ys - expected) / np.abs(expected)) < 1e-13

@@ -8,7 +8,7 @@ for bit.  The two engines are checked against each other on drawn baths.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence, markov_rate
@@ -72,18 +72,36 @@ def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     assert np.all(np.diff(values)[decaying] <= 1e-12)
 
 
-# the benchmark's kernel ranges, with eta drawn log-uniformly down to 1e-4
+def memory_bath(eta, kbt, u, topology, memory):
+    """A bath whose lambda / kbt is log-uniform from its top down to 0.025
+    (u = 0 at the top).  The top is 1e3, capped at lambda = 1 and at 1e5 eta:
+    at gamma0 t = 0.2 that keeps the RK4 steps of 0.1 / lambda under 16000
+    and those of eta * lambda under 29000."""
+    top = min(1e3, 1.0 / kbt, 1e5 * eta)
+    ratio = top * (0.025 / top) ** u
+    return BathSpec(eta=eta, lambda_cutoff=ratio * kbt, kbt=kbt, topology=topology, memory=memory)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# eta log-uniform from 1e-4 to 0.5, kbt from 1e-3 to 0.2, and lambda / kbt up
+# to 1e3, where gamma(t) and the Lamb rate reach eta * lambda >> gamma0
 engine_scenarios = st.fixed_dictionaries({
     "state": st.builds(StateSpec, st.sampled_from(STATE_NAMES), st.floats(0.0, 1.0)),
-    "bath": st.builds(BathSpec, eta=st.floats(math.log(1e-4), math.log(0.2)).map(math.exp),
-                      lambda_cutoff=st.floats(0.005, 0.05), kbt=st.floats(0.04, 0.2),
-                      topology=st.sampled_from(TOPOLOGIES), memory=st.sampled_from(MEMORIES)),
-    "t_max": st.floats(0.01, 1.0),
+    "bath": st.builds(memory_bath, log_uniform(1e-4, 0.5), log_uniform(1e-3, 0.2), st.floats(0.0, 1.0),
+                      st.sampled_from(TOPOLOGIES), st.sampled_from(MEMORIES)),
+    "t_max": st.floats(0.01, 0.2),
     "n_points": st.integers(2, 6),
 })
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example({"state": StateSpec("star"), "t_max": 0.2, "n_points": 5,
+          "bath": BathSpec(eta=0.5, lambda_cutoff=1.0, kbt=1e-3, memory="non_markov")})
+@example({"state": StateSpec("ghz"), "t_max": 0.2, "n_points": 3,
+          "bath": BathSpec(eta=0.5, lambda_cutoff=1.0, kbt=1e-3, topology="local", memory="non_markov")})
 @given(engine_scenarios)
 def test_engines_agree_on_drawn_baths(sc):
     times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
