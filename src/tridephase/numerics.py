@@ -4,7 +4,7 @@ Closed-form special functions for complex arguments (the real part of a
 log-gamma ratio and the imaginary part of the digamma function), Hermitian
 eigendecomposition, a fixed-step classical Runge-Kutta integrator for
 elementwise-linear equations that takes its time-dependent coefficients as
-one table and the substeps of an interval as one array product, and the one
+one table and the substeps of a trace as one running product, and the one
 validator for times and time grids.  Nothing here knows about baths or qubits.
 """
 
@@ -169,11 +169,11 @@ def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | N
     Their stage times t, t + h/2, t + h, shape (substeps, 3), go through
     ``coefficients`` in one call; ``rate`` maps m such rows to the stage
     rates, shape (m, 3) + np.shape(y0).  An RK4 substep of such an equation
-    multiplies y by a factor of its stage rates alone, so each interval forms
-    its factors in blocks of at most _BLOCK and multiplies in their product.
+    multiplies y by a factor of its stage rates alone, so the trace forms its
+    factors in blocks of _BLOCK, across intervals, and takes a running product.
 
     Raises ValueError for a malformed grid or max_step, and PropagationError,
-    carrying the last good grid time, once the state stops being finite.
+    carrying the grid time before the first non-finite sample.
     """
     times = check_time(grid, grid=True)
     if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
@@ -182,25 +182,24 @@ def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | N
     spans = np.diff(times)
     n_sub = substep_counts(spans, max_step)
     stop = np.cumsum(n_sub)
-    start = stop - n_sub
     h = np.repeat(spans / n_sub, n_sub)
     # t = t0 + j h with j = 0 .. n_sub - 1 within each interval
-    t = np.repeat(times[:-1], n_sub) + (np.arange(len(h)) - np.repeat(start, n_sub)) * h
+    t = np.repeat(times[:-1], n_sub) + (np.arange(len(h)) - np.repeat(stop - n_sub, n_sub)) * h
     rows = coefficients(np.stack([t, t + h / 2.0, t + h], axis=-1))
 
     y = np.asarray(y0)
     h = h.reshape((-1,) + (1,) * y.ndim)
-    out = np.empty((len(times),) + y.shape, dtype=complex)
-    out[0] = y
-    for k in range(1, len(times)):
-        for s in range(start[k - 1], stop[k - 1], _BLOCK):
-            block = slice(s, min(s + _BLOCK, stop[k - 1]))
-            (a0, am, a1), hb = np.moveaxis(rate(rows[block]), 1, 0), h[block]
-            k2 = am * (1.0 + (hb / 2.0) * a0)
-            k3 = am * (1.0 + (hb / 2.0) * k2)
-            k4 = a1 * (1.0 + hb * k3)
-            y = y * np.prod(1.0 + (hb / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), axis=0)
-        if not np.all(np.isfinite(y)):
-            raise PropagationError(float(times[k - 1]), f"state became non-finite after t={times[k - 1]:g}")
-        out[k] = y
+    out = np.full((len(times),) + y.shape, y, dtype=complex)
+    for s in range(0, len(h), _BLOCK):
+        (a0, am, a1), hb = np.moveaxis(rate(rows[s:s + _BLOCK]), 1, 0), h[s:s + _BLOCK]
+        k2 = am * (1.0 + (hb / 2.0) * a0)
+        k3 = am * (1.0 + (hb / 2.0) * k2)
+        k4 = a1 * (1.0 + hb * k3)
+        ys = y * np.cumprod(1.0 + (hb / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), axis=0)
+        # intervals first .. done - 1 end in this block; sample i + 1 follows substep stop[i] - 1
+        (first, done), y = np.searchsorted(stop, [s, s + len(hb)], side="right"), ys[-1]
+        out[first + 1:done + 1] = ys[stop[first:done] - 1 - s]
+    bad = np.flatnonzero(~np.isfinite(out.reshape(len(times), -1)).all(axis=1))
+    if len(bad):
+        raise PropagationError(float(times[bad[0] - 1]), f"state became non-finite after t={times[bad[0] - 1]:g}")
     return out

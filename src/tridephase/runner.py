@@ -176,6 +176,8 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
             raise _context(label, "p", f"must lie in [0, 1], got {p!r}")
     if state_name in MIXED_STATE_NAMES and ps == [None]:
         raise _context(label, "p", f"required for mixed state {state_name!r}")
+    if state_name not in MIXED_STATE_NAMES and ps != [None]:
+        raise _context(label, "p", f"not used by pure state {state_name!r}; drop it")
 
     eta = _number(label, "eta", entry.get("eta", BathSpec().eta), minimum=0.0)
     lam = _number(label, "lambda", entry.get("lambda", BathSpec().lambda_cutoff), strict_min=0.0)

@@ -113,7 +113,8 @@ def test_grid_matches_single_times():
 
 def test_propagate_identity_at_zero_time():
     rho0 = make_state(StateSpec("star"))
-    for spec in (COMMON_M, LOCAL_NM):
+    for spec in (COMMON_M, LOCAL_NM, PropagatorSpec(COMMON_M.bath, "ode"),
+                 PropagatorSpec(LOCAL_NM.bath, "ode")):
         assert np.max(np.abs(propagate(spec, rho0, 0.0) - rho0)) < 1e-15
 
 
@@ -260,6 +261,34 @@ def test_schur_weights_reject_a_map_that_mixes_elements():
     sx = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(4))
     with pytest.raises(RuntimeError, match="Schur"):
         dynamics._schur_weights([lambda rho: sx @ rho @ sx])
+
+
+@pytest.mark.parametrize("topology, classes", [("common", 7), ("local", 4)])
+def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, classes):
+    # elements with the same (W_g, W_mu) weights share one equation; the result
+    # must match integrating all 64 elements at their own rates
+    calls = []
+
+    def recording(rate, y0, grid, max_step=None, *, coefficients):
+        calls.append((rate, grid, max_step, coefficients))
+        return ode_propagate(rate, y0, grid, max_step, coefficients=coefficients)
+
+    monkeypatch.setattr(dynamics, "ode_propagate", recording)
+    v = np.random.default_rng(3).normal(size=(8, 2)) @ [1.0, 1j]
+    rho0 = np.outer(v, v.conj()) / np.vdot(v, v).real
+    times = np.linspace(0.0, 0.2, 41) / G0
+    bath = BathSpec(topology=topology, memory="non_markov")
+    rhos = propagate_grid(PropagatorSpec(bath, "ode"), rho0, times)
+
+    ((rate, grid, max_step, coefficients),) = calls
+    assert rate(np.ones((5, 3, 2))).shape == (5, 3, classes)
+    weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
+    ref = ode_propagate(lambda c: np.tensordot(c, weights, 1), rho0, grid, max_step,
+                        coefficients=coefficients)
+    z = np.array([z_weight(m) for m in range(8)])
+    ref = ref * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
+    ref = (ref + np.conj(np.swapaxes(ref, 1, 2))) / 2.0
+    assert np.max(np.abs(rhos - ref)) < 1e-15
 
 
 @pytest.mark.parametrize("topology, memory, substeps", [

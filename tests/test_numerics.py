@@ -217,6 +217,18 @@ def test_ode_blowup_reports_last_good_time():
     assert info.value.last_good_time == 1.0
     assert info.value.last_good_time in grid
 
+    # one substep per 0.005-long interval, each multiplying y by the RK4 factor
+    # of z = 5; the first overflowing sample lies inside the first block
+    grid = np.linspace(0.0, 2.0, 401)
+    z = 1000.0 * 0.005
+    factor = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    first_bad = math.floor(math.log(np.finfo(float).max) / math.log(factor)) + 1
+    assert 1 < first_bad < 256
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PropagationError) as info:
+            ode_propagate(constant(1000.0), 1.0, grid, max_step=0.01, coefficients=time_table)
+    assert info.value.last_good_time == grid[first_bad - 1]
+
 
 def test_ode_complex_matrix_state_with_one_coefficient_call():
     # d rho/dt = -2 t i rho, coefficient -2 t tabulated once for every stage
@@ -234,8 +246,9 @@ def test_ode_complex_matrix_state_with_one_coefficient_call():
     assert np.max(np.abs(ys[-1] - rho0 * np.exp(-1j))) < 1e-8
 
 
-def test_ode_rate_is_called_once_per_block_of_an_interval():
-    # 600 substeps in the first interval, 25 in the second
+def test_ode_rate_is_called_once_per_block_of_the_trace():
+    # 600 substeps in the first interval, 25 in the second; blocks run on
+    # across the interval boundary
     blocks = []
 
     def rate(c):
@@ -243,7 +256,7 @@ def test_ode_rate_is_called_once_per_block_of_an_interval():
         return -np.ones_like(c)
 
     ys = ode_propagate(rate, 1.0, [0.0, 6.0, 6.25], max_step=0.01, coefficients=time_table)
-    assert blocks == [256, 256, 88, 25]
+    assert blocks == [256, 256, 113]
     assert abs(ys[-1] - np.exp(-6.25)) < 1e-9
 
 

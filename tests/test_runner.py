@@ -130,6 +130,16 @@ def test_parse_errors_name_the_field(text, needle):
     assert "scenario 1" in str(info.value)
 
 
+@pytest.mark.parametrize("text", [
+    "scenarios:\n  - {state: ghz, p: 0.3, topology: common, memory: markov}\n",
+    "scenarios:\n  - {state: ghz, p: [0.3, 0.5], topology: common, memory: markov}\n",
+    "defaults: {p: 0.3}\nscenarios:\n  - {state: ghz, topology: common, memory: markov}\n",
+], ids=["scalar", "list", "defaults"])
+def test_parse_rejects_p_on_a_pure_state(text):
+    with pytest.raises(ConfigError, match="scenario 1: field 'p': .*'ghz'"):
+        parse_config(text)
+
+
 def test_parse_rejects_output_on_sweep():
     text = """
 scenarios:
@@ -410,6 +420,15 @@ def test_cli_rejects_escaping_output(tmp_path, capsys, output):
     assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert "output" in capsys.readouterr().err
     assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["a", "a/out", "cfg.yaml"]
+
+
+def test_cli_rejects_p_on_a_pure_state(tmp_path, capsys):
+    cfg = tmp_path / "pure.yaml"
+    cfg.write_text("scenarios:\n  - {state: ghz, p: 0.3, topology: common, memory: markov, n_points: 3}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'p'" in err and "'ghz'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pure.yaml"]
 
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):
