@@ -1,4 +1,4 @@
-"""Ohmic bath spectral density and the dephasing kernels built from it.
+"""The dephasing kernels of an ohmic bath.
 
 Conventions: hbar = 1, frequencies in units of the qubit splitting, and
 temperature enters only through kbt.  The spectral density is
@@ -42,7 +42,6 @@ __all__ = [
     "TOPOLOGIES",
     "MEMORIES",
     "BathSpec",
-    "spectral_density",
     "markov_rate",
     "dephasing_rate",
     "cumulative_decoherence",
@@ -93,15 +92,6 @@ class BathSpec:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         if self.memory not in MEMORIES:
             raise ValueError(f"memory must be one of {MEMORIES}, got {self.memory!r}")
-
-
-def spectral_density(spec: BathSpec, omega):
-    """Ohmic J(w) with exponential cutoff; scalar or ndarray in, same out."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("omega must be finite and >= 0")
-    out = spec.eta * w * np.exp(-w / spec.lambda_cutoff)
-    return float(out) if np.isscalar(omega) else out
 
 
 def markov_rate(spec: BathSpec) -> float:

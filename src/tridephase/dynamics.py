@@ -33,8 +33,6 @@ __all__ = [
     "OMEGA0",
     "ENGINES",
     "PropagatorSpec",
-    "z_weight",
-    "decoherence_exponent",
     "propagate",
     "propagate_grid",
     "coherence_trace",
@@ -79,17 +77,6 @@ class PropagatorSpec:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-def _check_index(m: int) -> int:
-    if not (isinstance(m, (int, np.integer)) and 0 <= m <= 7):
-        raise ValueError(f"basis index must be an integer in 0..7, got {m!r}")
-    return int(m)
-
-
-def z_weight(m: int) -> int:
-    """Collective sigma_z eigenvalue sum_i (1 - 2 bit_i) of basis index m."""
-    return int(_Z[_check_index(m)])
-
-
 def _check_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     report = validate(rho)
@@ -131,20 +118,9 @@ def _exponents(bspec: BathSpec, times: np.ndarray, include_lamb_phase: bool = Tr
             zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
             expo = expo + (1j * big_m) * zsq
     else:
-        # per-qubit sum; the three baths are identical here, but the structure
-        # admits qubit-dependent kernels
-        big_gammas = [big_gamma] * 3
-        damp = sum(2.0 * (_BITS[:, None, i] != _BITS[None, :, i]) * big_gammas[i] for i in range(3))
-        expo = expo - damp
+        # 2 Gamma per qubit whose bit differs
+        expo = expo - (2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)) * big_gamma
     return expo
-
-
-def decoherence_exponent(spec: PropagatorSpec, m: int, n: int, t, include_lamb_phase: bool = True) -> complex:
-    """log of the factor multiplying rho_mn(0) at time t (0 on the diagonal)."""
-    m = _check_index(m)
-    n = _check_index(n)
-    t = check_time(t)
-    return complex(_exponents(spec.bath, np.array([t]), include_lamb_phase)[0, m, n])
 
 
 def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:

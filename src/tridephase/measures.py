@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec
-from .numerics import hermitian_eigendecomposition
+from .numerics import hermitian_eigenvalues
 from .states import StateSpec
 
 __all__ = [
@@ -29,11 +29,11 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues are clamped to [0, 1] before the log; anything below
     -1e-8 means the input is not a state and raises.
     """
-    eig = hermitian_eigendecomposition(rho)
-    smallest = float(eig.eigenvalues[-1])
+    eigenvalues = hermitian_eigenvalues(rho)
+    smallest = float(eigenvalues[-1])
     if smallest < _EIGENVALUE_FLOOR:
         raise ValueError(f"not a state: eigenvalue {smallest:.3e} below {_EIGENVALUE_FLOOR}")
-    lam = np.clip(eig.eigenvalues, 0.0, 1.0)
+    lam = np.clip(eigenvalues, 0.0, 1.0)
     nonzero = lam[lam > 0.0]
     return float(-np.sum(nonzero * np.log(nonzero)))
 

@@ -1,28 +1,27 @@
 """Self-contained numerical primitives.
 
 Closed-form special functions for complex arguments (the real part of a
-log-gamma ratio and the imaginary part of the digamma function), Hermitian
-eigendecomposition, a fixed-step classical Runge-Kutta integrator for
-elementwise-linear equations that takes its time-dependent coefficients as
-one table and the substeps of a trace as one running product, and the one
-validator for times and time grids.  Nothing here knows about baths or qubits.
+log-gamma ratio and the imaginary part of the digamma function), the
+eigenvalues of a Hermitian matrix, a fixed-step classical Runge-Kutta
+integrator for elementwise-linear equations that takes its time-dependent
+coefficients as one table and the substeps of a trace as one running
+product, and the one validator for times and time grids.  Nothing here
+knows about baths or qubits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "PropagationError",
-    "HermitianEig",
     "check_time",
     "loggamma_re_diff",
     "digamma_im",
-    "hermitian_eigendecomposition",
+    "hermitian_eigenvalues",
     "substep_counts",
     "ode_propagate",
 ]
@@ -126,20 +125,11 @@ def digamma_im(c: float, y):
     return theta + y / (2.0 * r2) + series.sum(axis=-1) + shifted.sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Spectral decomposition; eigenvalues descending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigendecomposition(matrix) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted descending.
 
     The input is symmetrized to (H + H^dagger)/2 before factorization; inputs
-    further than 1e-8 from Hermitian are rejected.  Column i of the returned
-    eigenvectors pairs with eigenvalue i, eigenvalues sorted descending.
+    further than 1e-8 from Hermitian are rejected.
     """
     h = np.asarray(matrix, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
@@ -149,9 +139,8 @@ def hermitian_eigendecomposition(matrix) -> HermitianEig:
         raise ValueError("matrix contains non-finite entries")
     if residual > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {residual:.3e}")
-    sym = (h + h.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
-    return HermitianEig(eigenvalues=values[::-1].copy(), eigenvectors=vectors[:, ::-1].copy())
+    # eigh, not eigvalsh: the reference CSVs hold C_R from eigh's eigenvalues
+    return np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]
 
 
 def substep_counts(spans, max_step: float | None) -> np.ndarray:

@@ -3,8 +3,8 @@
 Config documents are YAML with an optional ``defaults`` mapping and a
 ``scenarios`` list; each scenario names a state, a topology, and a memory
 mode, plus optional overrides.  ``p``, ``topology`` and ``memory`` may be
-lists, in which case the cross product (p outermost, memory innermost)
-becomes the scenario list.
+nonempty lists, in which case the cross product (p outermost, memory
+innermost) becomes the scenario list.
 
 CSV files are byte-stable: same config, same bytes, regardless of
 scenario order.  Layout:
@@ -140,7 +140,10 @@ def _choice(label: str, field: str, value, choices) -> str:
     return value
 
 
-def _as_list(value):
+def _sweep(label: str, entry: dict, field: str) -> list:
+    value = entry[field]
+    if value == []:
+        raise _context(label, field, "empty sweep list; give at least one value")
     return value if isinstance(value, list) else [value]
 
 
@@ -165,12 +168,12 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
 
     if "topology" not in entry:
         raise _context(label, "topology", "required")
-    topologies = [_choice(label, "topology", v, TOPOLOGIES) for v in _as_list(entry["topology"])]
+    topologies = [_choice(label, "topology", v, TOPOLOGIES) for v in _sweep(label, entry, "topology")]
     if "memory" not in entry:
         raise _context(label, "memory", "required")
-    memories = [_choice(label, "memory", v, MEMORIES) for v in _as_list(entry["memory"])]
+    memories = [_choice(label, "memory", v, MEMORIES) for v in _sweep(label, entry, "memory")]
 
-    ps = [_number(label, "p", v) for v in _as_list(entry["p"])] if "p" in entry else [None]
+    ps = [_number(label, "p", v) for v in _sweep(label, entry, "p")] if "p" in entry else [None]
     for p in ps:
         if p is not None and not (0.0 <= p <= 1.0):
             raise _context(label, "p", f"must lie in [0, 1], got {p!r}")
@@ -237,7 +240,7 @@ def parse_config(text: str) -> list[ScenarioConfig]:
         if key not in ("defaults", "scenarios"):
             raise ConfigError(f"unknown top-level key {key!r}; expected 'defaults' and 'scenarios'")
 
-    defaults = doc.get("defaults") or {}
+    defaults = {} if doc.get("defaults") is None else doc["defaults"]
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be a mapping")
     for key in defaults:

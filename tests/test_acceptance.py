@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from tridephase.bath import BathSpec, cumulative_decoherence, dephasing_rate, markov_rate
-from tridephase.dynamics import (PropagatorSpec, coherence_trace, propagate, propagate_grid,
-                                 z_weight)
+from tridephase import dynamics
+from tridephase.dynamics import PropagatorSpec, coherence_trace, propagate, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import StateSpec, make_state, validate
 
@@ -151,7 +151,7 @@ def test_criterion_10_non_markov_preservation():
             instances.append((f"{name} p={p}", StateSpec(name, p=p)))
 
     times = np.array([0.0, 0.2]) / G0
-    zw = np.array([z_weight(m) for m in range(8)])
+    zw = dynamics._Z
     rows = []
     for label, sspec in instances:
         rho0 = make_state(sspec)

@@ -7,7 +7,7 @@ import scipy.integrate
 
 from tridephase.bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF,
                              BathSpec, cumulative_decoherence, dephasing_rate,
-                             lamb_kernel, markov_rate, spectral_density)
+                             lamb_kernel, markov_rate)
 
 MARKOV = BathSpec(memory="markov")
 NON_MARKOV = BathSpec(memory="non_markov")
@@ -22,27 +22,6 @@ def high_t_cumulative(spec: BathSpec, t: float) -> float:
     lt = spec.lambda_cutoff * t
     return 4.0 * spec.eta * spec.kbt * (
         t * math.atan(lt) - math.log1p(lt * lt) / (2.0 * spec.lambda_cutoff))
-
-
-# --------------------------------------------------------- spectral density
-
-def test_spectral_density_peak_scale():
-    # eta * w * exp(-w/L) at w = L is eta * L / e
-    value = spectral_density(NON_MARKOV, DEFAULT_LAMBDA_CUTOFF)
-    assert abs(value - 3.6787944117144233e-4) < 1e-16
-    assert spectral_density(NON_MARKOV, 0.0) == 0.0
-
-
-def test_spectral_density_linear_in_eta():
-    doubled = BathSpec(eta=0.2, memory="non_markov")
-    w = np.linspace(0.0, 0.1, 7)
-    assert np.allclose(spectral_density(doubled, w),
-                       2.0 * spectral_density(NON_MARKOV, w), rtol=1e-14)
-
-
-def test_spectral_density_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        spectral_density(NON_MARKOV, -0.1)
 
 
 # ------------------------------------------------------------- markov rate

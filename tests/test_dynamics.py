@@ -7,9 +7,8 @@ import pytest
 from tridephase import dynamics
 from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, lamb_kernel, markov_rate
 from tridephase.dynamics import (ENGINES, OMEGA0, PropagatorSpec,
-                                 _check_output, coherence_trace,
-                                 decoherence_exponent, propagate,
-                                 propagate_grid, z_weight)
+                                 _check_output, coherence_trace, propagate,
+                                 propagate_grid)
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
@@ -22,19 +21,16 @@ LOCAL_NM = PropagatorSpec(bath=BathSpec(topology="local", memory="non_markov"))
 G0 = markov_rate(COMMON_M.bath)  # 0.1 at default parameters
 
 
+def decoherence_exponent(spec, m, n, t, include_lamb_phase=True):
+    """log of the factor multiplying rho_mn(0) at time t, read off the grid path."""
+    return complex(dynamics._exponents(spec.bath, np.array([t]), include_lamb_phase)[0, m, n])
+
+
 # ------------------------------------------------------------- index algebra
 
 def test_z_weight_table():
     # net sigma_z weight per basis string, msb = qubit 1
-    assert [z_weight(m) for m in range(8)] == [3, 1, 1, -1, 1, -1, -1, -3]
-
-
-@pytest.mark.parametrize("bad", [-1, 8, 100])
-def test_index_bounds(bad):
-    with pytest.raises(ValueError):
-        z_weight(bad)
-    with pytest.raises(ValueError):
-        decoherence_exponent(COMMON_M, bad, 0, 1.0)
+    assert dynamics._Z.tolist() == [3, 1, 1, -1, 1, -1, -1, -3]
 
 
 # ----------------------------------------------------------------- exponents
@@ -82,7 +78,7 @@ def test_decoherence_free_pairs_common_bath():
     for m in range(8):
         for n in range(8):
             expo = decoherence_exponent(COMMON_NM, m, n, t)
-            if z_weight(m) == z_weight(n):
+            if dynamics._Z[m] == dynamics._Z[n]:
                 assert expo == 0.0
             else:
                 assert expo.real < 0.0
@@ -245,7 +241,7 @@ def test_ode_peak_memory_is_bounded_by_blocks():
 def test_dissipator_weights_are_read_off_the_operator_form(topology):
     weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
     assert weights.shape == (2, 8, 8)
-    z = np.array([z_weight(m) for m in range(8)])
+    z = dynamics._Z
     if topology == "common":
         expected_g = -((z[:, None] - z[None, :]) ** 2) / 2.0
         expected_mu = 1j * (z[:, None] ** 2 - z[None, :] ** 2)
@@ -285,7 +281,7 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
     weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
     ref = ode_propagate(lambda c: np.tensordot(c, weights, 1), rho0, grid, max_step,
                         coefficients=coefficients)
-    z = np.array([z_weight(m) for m in range(8)])
+    z = dynamics._Z
     ref = ref * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
     ref = (ref + np.conj(np.swapaxes(ref, 1, 2))) / 2.0
     assert np.max(np.abs(rhos - ref)) < 1e-15

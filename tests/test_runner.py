@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,10 @@ scenarios:
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, eta: -1}\n", "eta"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, n_points: 1}\n", "n_points"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, engine: verlet}\n", "engine"),
+    ("scenarios:\n  - {state: werner-w, p: [], topology: common, memory: markov}\n", "field 'p'"),
+    ("scenarios:\n  - {state: ghz, topology: [], memory: markov}\n", "field 'topology'"),
+    ("scenarios:\n  - {state: ghz, topology: common, memory: []}\n", "field 'memory'"),
+    ("defaults: {topology: []}\nscenarios:\n  - {state: ghz, memory: markov}\n", "field 'topology'"),
 ])
 def test_parse_errors_name_the_field(text, needle):
     with pytest.raises(ConfigError) as info:
@@ -174,6 +179,22 @@ def test_parse_rejects_unknown_top_level_key():
     with pytest.raises(ConfigError) as info:
         parse_config("runs: []\n")
     assert "runs" in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["[]", "0", "''", "false"])
+def test_parse_rejects_defaults_that_are_not_a_mapping(value):
+    with pytest.raises(ConfigError, match="'defaults' must be a mapping"):
+        parse_config(f"defaults: {value}\n{MINIMAL}")
+
+
+def test_parse_allows_a_bare_defaults_key():
+    assert len(parse_config(f"defaults:\n{MINIMAL}")) == 1
+
+
+def test_readme_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(parse_config(block)) == 14
 
 
 def test_parse_rejects_output_in_defaults():
