@@ -8,20 +8,18 @@ the relative entropy of coherence in the computational basis.
 
 Layered bottom-up: ``numerics`` (log-gamma and digamma series, Hermitian
 spectrum, fixed-step integrator, time validation), ``bath`` (closed-form
-decoherence kernels), ``states`` (the state catalog), ``dynamics`` (two
-independent propagation engines), ``measures`` (entropy and coherence),
-``runner``/``cli`` (scenario configs and CSV output).
+decoherence kernels), ``states`` (the state catalog and its invariant
+residuals), ``dynamics`` (two independent propagation engines), ``measures``
+(entropy and coherence), ``runner``/``cli`` (scenario configs and CSV output).
 """
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
 from .dynamics import ENGINES, OMEGA0, PropagatorSpec, coherence_trace, propagate, propagate_grid
 from .measures import CoherenceTrace, dephase, rel_entropy_coherence, von_neumann_entropy
-from .numerics import PropagationError, ode_propagate
 from .runner import (ConfigError, RunResult, ScenarioConfig, parse_config,
                      reproduce, run_scenarios, trace_csv_bytes)
-from .states import (MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES,
-                     StateReport, StateSpec, make_state, validate)
+from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
 __version__ = "0.1.0"
 
@@ -30,13 +28,12 @@ __all__ = [
     "BathSpec", "markov_rate",
     "dephasing_rate", "cumulative_decoherence", "lamb_kernel",
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
-    "StateSpec", "StateReport", "make_state", "validate",
+    "StateSpec", "make_state",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
     "PropagatorSpec", "propagate", "propagate_grid",
     "coherence_trace", "ENGINES", "OMEGA0",
     "von_neumann_entropy", "dephase", "rel_entropy_coherence",
     "CoherenceTrace",
-    "PropagationError", "ode_propagate",
     "ScenarioConfig", "RunResult", "ConfigError", "parse_config",
     "run_scenarios", "trace_csv_bytes", "reproduce",
 ]

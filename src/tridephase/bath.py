@@ -137,7 +137,7 @@ def lamb_kernel(spec: BathSpec, t):
         zero = 0.0 * t
         return zero, zero
     lam = spec.lambda_cutoff
-    mu = spec.eta * lam ** 3 * t * t / (1.0 + lam * lam * t * t)
+    mu = spec.eta * np.float64(lam) ** 3 * t * t / (1.0 + lam * lam * t * t)  # inf, not OverflowError
     x = lam * t
     x2 = x * x
     series = 0.0

@@ -27,7 +27,7 @@ import numpy as np
 from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from .measures import CoherenceTrace, rel_entropy_coherence
 from .numerics import check_time, ode_propagate, substep_counts
-from .states import StateSpec, make_state, validate
+from .states import StateSpec, make_state, residuals
 
 __all__ = [
     "OMEGA0",
@@ -57,9 +57,6 @@ _DISSIPATORS = {
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
 
-# tolerance on the density-matrix invariants of every propagated state
-_OUTPUT_TOL = 1e-6
-
 # RK4 substeps the ode engine may take for one trace; it bounds the stage-time
 # and coefficient tables, and such a trace takes about 0.3 s
 _MAX_SUBSTEPS = 200_000
@@ -77,32 +74,26 @@ class PropagatorSpec:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
-def _check_state(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    report = validate(rho)
-    if not report.valid:
-        raise ValueError(
-            "rho is not a valid density matrix: "
-            f"hermiticity {report.hermiticity_residual:.3e}, "
-            f"trace residual {report.trace_residual:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e}")
-    return rho
+def _check(rhos: np.ndarray, times: np.ndarray, bounds, error: type, what: str) -> None:
+    """Raise ``error`` for the first sample whose residuals (hermiticity, trace,
+    -min eigenvalue) exceed ``bounds``."""
+    res = residuals(rhos)
+    bad = np.flatnonzero(~np.all(res <= bounds, axis=1))
+    if len(bad):
+        herm, trace, negative = res[bad[0]]
+        raise error(f"{what} at t={float(times[bad[0]]):g} violates density-matrix invariants: hermiticity "
+                    f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")
 
 
-def _check_output(rho: np.ndarray, t: float) -> None:
-    report = validate(rho)
-    ok = (report.hermiticity_residual <= _OUTPUT_TOL
-          and report.trace_residual <= _OUTPUT_TOL
-          and report.min_eigenvalue >= -_OUTPUT_TOL)
-    if not ok:
-        raise RuntimeError(
-            f"propagated state at t={t!r} violates density-matrix invariants: "
-            f"hermiticity {report.hermiticity_residual:.3e}, "
-            f"trace residual {report.trace_residual:.3e}, "
-            f"min eigenvalue {report.min_eigenvalue:.3e}")
+def _finite(table: np.ndarray, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """A grid's kernel table, or ValueError naming the bath if a kernel overflowed in it."""
+    if np.isfinite(table).all():
+        return table
+    raise ValueError(f"bath kernels overflow on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
+                     f"lambda = {bspec.lambda_cutoff:g}, kbt = {bspec.kbt:g}; shorten t_max or change them")
 
 
-def _exponents(bspec: BathSpec, times: np.ndarray, include_lamb_phase: bool = True) -> np.ndarray:
+def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """log of the factor multiplying rho_mn(0), shape (len(times), 8, 8).
 
     One kernel call covers the whole grid; the broadcast expression applies
@@ -113,10 +104,9 @@ def _exponents(bspec: BathSpec, times: np.ndarray, include_lamb_phase: bool = Tr
     expo = (-0.5j * OMEGA0 * t) * _DZ
     if bspec.topology == "common":
         expo = expo - (_DZ.astype(float) ** 2 / 2.0) * big_gamma
-        if include_lamb_phase:
-            big_m = lamb_kernel(bspec, times)[1][:, None, None]
-            zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
-            expo = expo + (1j * big_m) * zsq
+        big_m = lamb_kernel(bspec, times)[1][:, None, None]
+        zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
+        expo = expo + (1j * big_m) * zsq
     else:
         # 2 Gamma per qubit whose bit differs
         expo = expo - (2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)) * big_gamma
@@ -148,22 +138,22 @@ def _schur_weights(maps) -> np.ndarray:
     return superops[:, range(64), range(64)].reshape(-1, 8, 8)
 
 
-def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
-              include_lamb_phase: bool = True) -> np.ndarray:
+def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Integrate the dissipator in the frame rotating with the free phase,
     then multiply that phase back in exactly.  Elements with the same rate
     gamma(t) W_g + mu(t) W_mu (weights off _DISSIPATORS) share one equation."""
     bspec = spec.bath
     step = _internal_step(bspec, times)
-    substeps = int(np.sum(substep_counts(np.diff(times), step)))
+    substeps = np.sum(substep_counts(np.diff(times), step))
     if substeps > _MAX_SUBSTEPS:
+        lam = f", lambda = {bspec.lambda_cutoff:g}" if bspec.memory == "non_markov" else ""
         raise ValueError(
-            f"engine ode: {substeps} RK4 substeps to reach t = {times[-1]:g} at eta = {bspec.eta:g}, "
+            f"engine ode: {substeps:.3g} RK4 substeps to reach t = {times[-1]:g} at eta = {bspec.eta:g}{lam}, "
             f"over the budget of {_MAX_SUBSTEPS}; raise eta, shorten t_max or use engine closed_form")
 
     def coefficients(t: np.ndarray) -> np.ndarray:
-        g = dephasing_rate(bspec, t)
-        return np.stack([g, lamb_kernel(bspec, t)[0] if include_lamb_phase else 0.0 * g], axis=-1)
+        rows = np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
+        return _finite(rows, bspec, times)
 
     weights = _schur_weights(_DISSIPATORS[bspec.topology]).reshape(2, 64)
     classes, inverse = np.unique(weights, axis=1, return_inverse=True)
@@ -174,28 +164,29 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray,
     return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0
 
 
-def propagate_grid(spec: PropagatorSpec, rho0, times, include_lamb_phase: bool = True) -> np.ndarray:
+def propagate_grid(spec: PropagatorSpec, rho0, times) -> np.ndarray:
     """Evolve rho0 across a strictly increasing time grid starting at 0.
 
-    Returns an (n, 8, 8) array of density matrices, one per grid point, each
-    checked against the state invariants.
+    Returns an (n, 8, 8) array of density matrices, one per grid point.  A
+    rho0 that fails the state invariants raises ValueError; an output that
+    fails them raises RuntimeError naming the first such t.
     """
     times = check_time(times, grid=True)
-    rho0 = _check_state(rho0)
+    rho0 = np.asarray(rho0, dtype=complex)
+    _check(rho0[None], times, (1e-12, 1e-12, 1e-10), ValueError, "rho0")
     if spec.engine == "closed_form":
-        out = rho0 * np.exp(_exponents(spec.bath, times, include_lamb_phase))
+        out = rho0 * np.exp(_finite(_exponents(spec.bath, times), spec.bath, times))
     else:
-        out = _ode_grid(spec, rho0, times, include_lamb_phase)
-    for t, rho in zip(times, out):
-        _check_output(rho, t)
+        out = _ode_grid(spec, rho0, times)
+    _check(out, times, 1e-6, RuntimeError, "propagated state")
     return out
 
 
-def propagate(spec: PropagatorSpec, rho0, t, include_lamb_phase: bool = True) -> np.ndarray:
+def propagate(spec: PropagatorSpec, rho0, t) -> np.ndarray:
     """Evolve rho0 to a single time t (absolute units of 1/omega0)."""
     t = check_time(t)
     grid = np.array([0.0]) if t == 0.0 else np.array([0.0, t])
-    return propagate_grid(spec, rho0, grid, include_lamb_phase)[-1]
+    return propagate_grid(spec, rho0, grid)[-1]
 
 
 def coherence_trace(spec: PropagatorSpec, state: StateSpec, gamma0_t) -> CoherenceTrace:

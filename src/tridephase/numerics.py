@@ -144,8 +144,8 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 
 def substep_counts(spans, max_step: float | None) -> np.ndarray:
-    """RK4 substeps per grid interval, each at most ``max_step`` (one without it)."""
-    return np.maximum(1, np.ceil(np.asarray(spans) / (max_step or math.inf))).astype(int)
+    """RK4 substeps per grid interval, each at most ``max_step`` (one without it), as floats."""
+    return np.maximum(1.0, np.ceil(np.asarray(spans) / (max_step or math.inf)))
 
 
 def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | None = None, *,
@@ -169,7 +169,7 @@ def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | N
         raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
 
     spans = np.diff(times)
-    n_sub = substep_counts(spans, max_step)
+    n_sub = substep_counts(spans, max_step).astype(int)
     stop = np.cumsum(n_sub)
     h = np.repeat(spans / n_sub, n_sub)
     # t = t0 + j h with j = 0 .. n_sub - 1 within each interval

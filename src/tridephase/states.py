@@ -1,4 +1,4 @@
-"""The named initial states of the three-qubit register.
+"""The named initial states of the three-qubit register, and the invariant check.
 
 Basis convention used everywhere in this package: basis index m is the
 bitstring q1 q2 q3 with qubit 1 as the most significant bit, so
@@ -17,18 +17,13 @@ __all__ = [
     "MIXED_STATE_NAMES",
     "STATE_NAMES",
     "StateSpec",
-    "StateReport",
     "make_state",
-    "validate",
+    "residuals",
 ]
 
 PURE_STATE_NAMES = ("ghz", "w", "wbar", "wwbar", "star")
 MIXED_STATE_NAMES = ("ghz-w", "werner-ghz", "werner-w")
 STATE_NAMES = PURE_STATE_NAMES + MIXED_STATE_NAMES
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 
 
 def _ket(*bitstrings: str) -> np.ndarray:
@@ -80,30 +75,23 @@ def make_state(spec: StateSpec) -> np.ndarray:
     return p * _projector(_VECTORS[base]) + (1.0 - p) / 8.0 * np.eye(8, dtype=complex)
 
 
-@dataclass(frozen=True)
-class StateReport:
-    """Residuals of the density-matrix invariants for one matrix."""
+def residuals(rhos) -> np.ndarray:
+    """How far each matrix of an (n, 8, 8) stack is from a density matrix.
 
-    hermiticity_residual: float
-    trace_residual: float
-    min_eigenvalue: float
-
-    @property
-    def valid(self) -> bool:
-        return (self.hermiticity_residual <= HERMITICITY_TOL
-                and self.trace_residual <= TRACE_TOL
-                and self.min_eigenvalue >= EIGENVALUE_FLOOR)
-
-
-def validate(rho) -> StateReport:
-    """Measure how far a matrix is from being a density matrix.
-
-    Pure check: reports residuals, never raises on a bad state.
+    Row i holds max|rho - rho^dag|, |tr rho - 1| and minus the smallest
+    eigenvalue of (rho + rho^dag)/2; a matrix with a non-finite entry reads
+    inf in all three.  Raises only on a shape other than (n, 8, 8).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0]) if math.isfinite(herm) else -math.inf
-    return StateReport(hermiticity_residual=herm, trace_residual=trace, min_eigenvalue=min_eig)
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
+        raise ValueError(f"expected an (n, 8, 8) stack, got shape {rhos.shape}")
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():  # a copy only when needed; eigvalsh takes no inf or nan
+        rhos = np.where(finite[:, None, None], rhos, 0.0)
+    adjoint = rhos.conj().swapaxes(1, 2)
+    herm = np.abs(rhos - adjoint).max(axis=(1, 2))
+    adjoint += rhos  # rho + rho^dag, in the copy that conj() made
+    out = np.stack([herm, np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0),
+                    -np.linalg.eigvalsh(adjoint)[:, 0] / 2.0], axis=1)
+    out[~finite] = np.inf
+    return out

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from tridephase import dynamics
-from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, lamb_kernel, markov_rate
-from tridephase.dynamics import (ENGINES, OMEGA0, PropagatorSpec,
-                                 _check_output, coherence_trace, propagate,
-                                 propagate_grid)
+from tridephase.bath import (MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence,
+                             lamb_kernel, markov_rate)
+from tridephase.dynamics import ENGINES, OMEGA0, PropagatorSpec, coherence_trace, propagate, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
@@ -21,9 +20,9 @@ LOCAL_NM = PropagatorSpec(bath=BathSpec(topology="local", memory="non_markov"))
 G0 = markov_rate(COMMON_M.bath)  # 0.1 at default parameters
 
 
-def decoherence_exponent(spec, m, n, t, include_lamb_phase=True):
+def decoherence_exponent(spec, m, n, t):
     """log of the factor multiplying rho_mn(0) at time t, read off the grid path."""
-    return complex(dynamics._exponents(spec.bath, np.array([t]), include_lamb_phase)[0, m, n])
+    return complex(dynamics._exponents(spec.bath, np.array([t]))[0, m, n])
 
 
 # ------------------------------------------------------------- index algebra
@@ -63,10 +62,11 @@ def test_extreme_pair_damping_local():
 
 
 def test_lamb_phase_term_isolated():
-    # weights 3 and 1 for (0, 1): the phase picks up (9 - 1) big_m
+    # weights 3 and 1 for (0, 1): on top of the free phase and the damping
+    # (2^2 / 2) Gamma, the phase picks up (9 - 1) big_m
     t = 2.0
     with_phase = decoherence_exponent(COMMON_NM, 0, 1, t)
-    without = decoherence_exponent(COMMON_NM, 0, 1, t, include_lamb_phase=False)
+    without = -0.5j * OMEGA0 * t * 2.0 - 2.0 * cumulative_decoherence(COMMON_NM.bath, t)
     _, big_m = lamb_kernel(COMMON_NM.bath, t)
     assert abs((with_phase - without) - 1j * 8.0 * big_m) < 1e-15
     assert abs(with_phase.real - without.real) == 0.0
@@ -157,7 +157,10 @@ def test_lamb_phase_changes_elements_not_magnitudes():
     rho0 = make_state(StateSpec("star"))
     t = 2.0
     rho_with = propagate(COMMON_NM, rho0, t)
-    rho_without = propagate(COMMON_NM, rho0, t, include_lamb_phase=False)
+    # take the Lamb phase exp(i M(t) (Z_m^2 - Z_n^2)) off each element
+    _, big_m = lamb_kernel(COMMON_NM.bath, t)
+    z = dynamics._Z
+    rho_without = rho_with * np.exp(-1j * big_m * (z[:, None] ** 2 - z[None, :] ** 2))
     assert np.max(np.abs(rho_with - rho_without)) > 1e-9
     assert np.max(np.abs(np.abs(rho_with) - np.abs(rho_without))) < 1e-15
     diff = abs(rel_entropy_coherence(rho_with) - rel_entropy_coherence(rho_without))
@@ -222,6 +225,24 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
     with pytest.raises(ValueError, match="eta = 1e-08") as info:
         propagate_grid(spec, make_state(StateSpec("ghz")), times)
     assert "t_max" in str(info.value) and "closed_form" in str(info.value)
+
+
+@pytest.mark.parametrize("bath, t_max", [(BathSpec(eta=1e-300, memory="non_markov"), 0.2),
+                                         (BathSpec(), 1e300)], ids=["eta", "t_max"])
+def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
+    # 1e298 substeps or more: an int cast of the counts would wrap under the budget
+    spec = PropagatorSpec(bath=bath, engine="ode")
+    with pytest.raises(ValueError, match="over the budget") as info:
+        coherence_trace(spec, StateSpec("ghz"), np.linspace(0.0, t_max, 201))
+    message = str(info.value)
+    assert f"eta = {bath.eta:g}" in message and "t_max" in message
+    assert ("lambda = " in message) == (bath.memory == "non_markov")
+
+
+def test_ode_kernel_rows_must_be_finite(monkeypatch):
+    monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
+    with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):
+        propagate(PropagatorSpec(BathSpec(), "ode"), make_state(StateSpec("ghz")), 2.0)
 
 
 def test_ode_peak_memory_is_bounded_by_blocks():
@@ -364,11 +385,43 @@ def test_propagate_grid_validation(grid):
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid)
 
 
-def test_output_invariant_check_trips_on_corruption():
-    good = make_state(StateSpec("ghz"))
-    with pytest.raises(RuntimeError):
-        _check_output(good * 1.01, 1.0)
-    bad = good.astype(complex).copy()
-    bad[0, 1] += 1e-3
-    with pytest.raises(RuntimeError):
-        _check_output(bad, 1.0)
+def spoil_exponents(monkeypatch, k, add):
+    """Make the closed form add ``add`` (8x8) to the exponents of sample k."""
+    exponents = dynamics._exponents
+
+    def spoiled(*args):
+        expo = exponents(*args)
+        expo[k] += add
+        return expo
+    monkeypatch.setattr(dynamics, "_exponents", spoiled)
+
+
+def test_output_invariant_check_trips_on_corruption(monkeypatch):
+    rho0 = make_state(StateSpec("ghz"))
+    times = np.array([0.0, 1.0])
+    spoil_exponents(monkeypatch, 1, np.full((8, 8), np.log(1.01)))
+    with pytest.raises(RuntimeError, match="trace residual 1.0"):
+        propagate_grid(COMMON_M, rho0, times)
+    monkeypatch.undo()
+    add = np.zeros((8, 8))
+    add[0, 7] = 1e-3  # grows rho_07 but not rho_70
+    spoil_exponents(monkeypatch, 1, add)
+    with pytest.raises(RuntimeError, match="hermiticity"):
+        propagate_grid(COMMON_M, rho0, times)
+
+
+@pytest.mark.parametrize("k", [1, 117, 200])
+@pytest.mark.parametrize("factor", [np.nan, 1.01])
+def test_output_check_names_the_first_bad_sample(monkeypatch, factor, k):
+    # the ODE's factors go bad from sample k on; the one stack check names
+    # that sample's t as :g
+    def spoiled(*args, **kwargs):
+        factors = ode_propagate(*args, **kwargs)
+        factors[k:] *= factor
+        return factors
+
+    monkeypatch.setattr(dynamics, "ode_propagate", spoiled)
+    times = np.linspace(0.0, 3.0, 201) / G0
+    with pytest.raises(RuntimeError) as info:
+        propagate_grid(PropagatorSpec(COMMON_M.bath, "ode"), make_state(StateSpec("ghz")), times)
+    assert f"propagated state at t={times[k]:g} violates" in str(info.value)

@@ -489,6 +489,24 @@ def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "ghz_common_non_markov.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bath, t_max", [
+    (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
+    (BathSpec(memory="non_markov"), 1e300),
+    (BathSpec(kbt=1e-300, memory="non_markov"), 0.2),
+], ids=["lambda", "t_max", "kbt"])
+def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max):
+    # the kernels overflow to inf or nan on these grids
+    scenario = ScenarioConfig(state=StateSpec("ghz"), bath=bath, t_max=t_max, n_points=201,
+                              engine="closed_form", output="x.csv")
+    (result,) = run_scenarios([scenario], tmp_path)
+    assert isinstance(result.error, ValueError)
+    message = str(result.error)
+    for field in ("eta", "lambda", "kbt", "t_max"):
+        assert f"{field} " in message
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ------------------------------------------------------------------- golden
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "figures"

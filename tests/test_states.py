@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tridephase.states import (MIXED_STATE_NAMES, PURE_STATE_NAMES,
-                               STATE_NAMES, StateSpec, make_state, validate)
+                               STATE_NAMES, StateSpec, make_state, residuals)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -130,41 +130,65 @@ def test_star_breaks_exchange_symmetry():
 
 # --------------------------------------------------------------- validation
 
+# the input bounds of propagate_grid: hermiticity, trace, -min eigenvalue
+INPUT_BOUNDS = (1e-12, 1e-12, 1e-10)
+
+
+def valid(rho) -> bool:
+    return bool(np.all(residuals(rho[None])[0] <= INPUT_BOUNDS))
+
+
 @pytest.mark.parametrize("name", STATE_NAMES)
 def test_catalog_states_validate(name):
     rho = make_state(StateSpec(name, p=0.4))
-    report = validate(rho)
-    assert report.valid
-    assert report.hermiticity_residual < 1e-14
-    assert report.trace_residual < 1e-13
-    assert report.min_eigenvalue > -1e-14
+    assert valid(rho)
+    herm, trace, negative = residuals(rho[None])[0]
+    assert herm < 1e-14
+    assert trace < 1e-13
+    assert negative < 1e-14
 
 
 def test_validate_flags_broken_trace():
     rho = make_state(StateSpec("ghz")) * 1.01
-    report = validate(rho)
-    assert not report.valid
-    assert report.trace_residual > 1e-3
+    assert not valid(rho)
+    assert residuals(rho[None])[0, 1] > 1e-3
 
 
 def test_validate_flags_non_hermitian():
     rho = make_state(StateSpec("ghz")).astype(complex)
     rho[0, 1] += 1e-3
-    report = validate(rho)
-    assert not report.valid
-    assert report.hermiticity_residual > 1e-4
+    assert not valid(rho)
+    assert residuals(rho[None])[0, 0] > 1e-4
 
 
 def test_validate_flags_negative_eigenvalue():
     rho = np.diag([1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
-    report = validate(rho)
-    assert not report.valid
-    assert report.min_eigenvalue < -0.09
+    assert not valid(rho)
+    assert residuals(rho[None])[0, 2] > 0.09
 
 
 def test_validate_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        validate(np.eye(4) / 4.0)
+        residuals((np.eye(4) / 4.0)[None])
+    # a lone 8x8 matrix is not a stack
+    with pytest.raises(ValueError):
+        residuals(make_state(StateSpec("ghz")))
+
+
+def test_residuals_measure_each_matrix_of_a_stack():
+    # one stack call must equal the per-matrix calls, and a non-finite matrix
+    # reads inf in every column without disturbing its neighbours
+    stack = np.stack([make_state(StateSpec(name, p=0.4)) for name in STATE_NAMES])
+    stack[1] *= 1.01
+    stack[2, 0, 7] += 1e-3
+    stack[3, 0, 0] = np.nan
+    stack[4, 1, 1] = np.inf
+    res = residuals(stack)
+    assert res.shape == (len(STATE_NAMES), 3)
+    for rho, row in zip(stack, res):
+        assert np.array_equal(residuals(rho[None])[0], row)
+    assert np.all(res[3:5] == np.inf)
+    assert np.all(np.isfinite(res[[0, 1, 2, 5, 6, 7]]))
 
 
 # --------------------------------------------------------------- spec errors
