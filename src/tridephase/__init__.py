@@ -15,7 +15,7 @@ residuals), ``dynamics`` (two independent propagation engines), ``measures``
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
-from .dynamics import ENGINES, OMEGA0, PropagatorSpec, coherence_trace, propagate, propagate_grid
+from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
 from .measures import CoherenceTrace, dephase, rel_entropy_coherence, von_neumann_entropy
 from .runner import (ConfigError, RunResult, ScenarioConfig, parse_config,
                      reproduce, run_scenarios, trace_csv_bytes)
@@ -30,7 +30,7 @@ __all__ = [
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
     "StateSpec", "make_state",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
-    "PropagatorSpec", "propagate", "propagate_grid",
+    "propagate", "propagate_grid",
     "coherence_trace", "ENGINES", "OMEGA0",
     "von_neumann_entropy", "dephase", "rel_entropy_coherence",
     "CoherenceTrace",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_time, digamma_im, loggamma_re_diff
+from .numerics import check_number, check_time, digamma_im, loggamma_re_diff
 
 __all__ = [
     "DEFAULT_ETA",
@@ -77,21 +77,15 @@ class BathSpec:
     memory: str = "markov"
 
     def __post_init__(self):
-        # bool is an int subclass; True is not a coupling strength
-        if isinstance(self.eta, bool) or not (isinstance(self.eta, (int, float))
-                                              and math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        if isinstance(self.lambda_cutoff, bool) or not (isinstance(self.lambda_cutoff, (int, float))
-                                                        and math.isfinite(self.lambda_cutoff)
-                                                        and self.lambda_cutoff > 0):
-            raise ValueError(f"lambda_cutoff must be positive, got {self.lambda_cutoff!r}")
-        if isinstance(self.kbt, bool) or not (isinstance(self.kbt, (int, float))
-                                              and math.isfinite(self.kbt) and self.kbt > 0):
-            raise ValueError(f"kbt must be positive, got {self.kbt!r}")
+        # stored as floats: a huge int would overflow inside numpy's kernels
+        object.__setattr__(self, "eta", check_number("eta", self.eta, 0.0))
+        object.__setattr__(self, "lambda_cutoff",
+                           check_number("lambda (lambda_cutoff)", self.lambda_cutoff, 0.0, strict=True))
+        object.__setattr__(self, "kbt", check_number("kbt", self.kbt, 0.0, strict=True))
         if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+            raise ValueError(f"field 'topology': must be one of {', '.join(TOPOLOGIES)}; got {self.topology!r}")
         if self.memory not in MEMORIES:
-            raise ValueError(f"memory must be one of {MEMORIES}, got {self.memory!r}")
+            raise ValueError(f"field 'memory': must be one of {', '.join(MEMORIES)}; got {self.memory!r}")
 
 
 def markov_rate(spec: BathSpec) -> float:
@@ -105,7 +99,8 @@ def dephasing_rate(spec: BathSpec, t):
     if spec.memory == "markov":
         return markov_rate(spec) + 0.0 * t  # shaped like t
     lam, kbt = spec.lambda_cutoff, spec.kbt
-    return 2.0 * spec.eta * (2.0 * kbt * digamma_im(kbt / lam, kbt * t) - t / (lam ** -2 + t * t))
+    # a numpy power: inf, not OverflowError, at lambda = 1e-300
+    return 2.0 * spec.eta * (2.0 * kbt * digamma_im(kbt / lam, kbt * t) - t / (np.float64(lam) ** -2 + t * t))
 
 
 def cumulative_decoherence(spec: BathSpec, t):

@@ -57,9 +57,10 @@ def _apply_overrides(scenarios, engine, points):
     if engine is not None:
         scenarios = [replace(sc, engine=ENGINE_ALIASES[engine]) for sc in scenarios]
     if points is not None:
-        if points < 2:
-            raise ConfigError(f"--points must be >= 2, got {points}")
-        scenarios = [replace(sc, n_points=points) for sc in scenarios]
+        try:
+            scenarios = [replace(sc, n_points=points) for sc in scenarios]
+        except ValueError as exc:
+            raise ConfigError(f"--points: {exc}") from exc
     return scenarios
 
 

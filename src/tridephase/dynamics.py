@@ -20,8 +20,6 @@ eigenvalue of basis index m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
@@ -32,7 +30,6 @@ from .states import StateSpec, make_state, residuals
 __all__ = [
     "OMEGA0",
     "ENGINES",
-    "PropagatorSpec",
     "propagate",
     "propagate_grid",
     "coherence_trace",
@@ -57,21 +54,14 @@ _DISSIPATORS = {
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
 
+# bound on a phase of the factors on rho_mn: up to it, rounding (2^-53 relative)
+# keeps the phases within 1e-8 of each other, the tolerance of the measures;
+# past it the rounded phases of star (Z_m - Z_n in {2, 4, 6}) make no state
+_MAX_PHASE = 1e-8 * 2.0 ** 53
+
 # RK4 substeps the ode engine may take for one trace; it bounds the stage-time
 # and coefficient tables, and such a trace takes about 0.3 s
 _MAX_SUBSTEPS = 200_000
-
-
-@dataclass(frozen=True)
-class PropagatorSpec:
-    """Bath plus the engine used to evolve states under it."""
-
-    bath: BathSpec
-    engine: str = "closed_form"
-
-    def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
 
 
 def _check(rhos: np.ndarray, times: np.ndarray, bounds, error: type, what: str) -> None:
@@ -85,11 +75,17 @@ def _check(rhos: np.ndarray, times: np.ndarray, bounds, error: type, what: str) 
                     f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")
 
 
-def _finite(table: np.ndarray, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """A grid's kernel table, or ValueError naming the bath if a kernel overflowed in it."""
-    if np.isfinite(table).all():
+def _finite(compute, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """The table ``compute()`` of a grid (kernel rows, exponents or phases), or ValueError
+    naming the bath if it overflowed (numpy's warnings are left to this check) or
+    holds a phase past _MAX_PHASE, which the free phase passes at t of about 3e7."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        table = compute()
+        unresolved = (np.abs(table.imag) > _MAX_PHASE).any()
+    if not unresolved and np.isfinite(table).all():
         return table
-    raise ValueError(f"bath kernels overflow on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
+    what = f"phases past {_MAX_PHASE:.3g} lose 1e-8" if unresolved else "bath kernels overflow"
+    raise ValueError(f"{what} on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
                      f"lambda = {bspec.lambda_cutoff:g}, kbt = {bspec.kbt:g}; shorten t_max or change them")
 
 
@@ -138,11 +134,10 @@ def _schur_weights(maps) -> np.ndarray:
     return superops[:, range(64), range(64)].reshape(-1, 8, 8)
 
 
-def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Integrate the dissipator in the frame rotating with the free phase,
     then multiply that phase back in exactly.  Elements with the same rate
     gamma(t) W_g + mu(t) W_mu (weights off _DISSIPATORS) share one equation."""
-    bspec = spec.bath
     step = _internal_step(bspec, times)
     substeps = np.sum(substep_counts(np.diff(times), step))
     if substeps > _MAX_SUBSTEPS:
@@ -152,55 +147,63 @@ def _ode_grid(spec: PropagatorSpec, rho0: np.ndarray, times: np.ndarray) -> np.n
             f"over the budget of {_MAX_SUBSTEPS}; raise eta, shorten t_max or use engine closed_form")
 
     def coefficients(t: np.ndarray) -> np.ndarray:
-        rows = np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
-        return _finite(rows, bspec, times)
+        return _finite(lambda: np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1),
+                       bspec, times)
 
     weights = _schur_weights(_DISSIPATORS[bspec.topology]).reshape(2, 64)
     classes, inverse = np.unique(weights, axis=1, return_inverse=True)
     factors = ode_propagate(lambda c: c @ classes, np.ones(len(classes[0]), complex), times, step,
                             coefficients=coefficients)
-    rhos = rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(-0.5j * OMEGA0 * times[:, None, None] * _DZ)
+    phases = _finite(lambda: -0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)
+    rhos = rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(phases)
     # re-symmetrize each emitted sample; RK4 drift is below 1e-10 but not zero
     return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0
 
 
-def propagate_grid(spec: PropagatorSpec, rho0, times) -> np.ndarray:
+def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> np.ndarray:
     """Evolve rho0 across a strictly increasing time grid starting at 0.
 
-    Returns an (n, 8, 8) array of density matrices, one per grid point.  A
-    rho0 that fails the state invariants raises ValueError; an output that
-    fails them raises RuntimeError naming the first such t.
+    Returns an (n, 8, 8) array of density matrices, one per grid point.  An
+    unknown engine, or a rho0 that fails the state invariants, raises ValueError;
+    an output that fails them raises RuntimeError naming the first such t.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     times = check_time(times, grid=True)
     rho0 = np.asarray(rho0, dtype=complex)
     _check(rho0[None], times, (1e-12, 1e-12, 1e-10), ValueError, "rho0")
-    if spec.engine == "closed_form":
-        out = rho0 * np.exp(_finite(_exponents(spec.bath, times), spec.bath, times))
+    if engine == "closed_form":
+        out = rho0 * np.exp(_finite(lambda: _exponents(bath, times), bath, times))
     else:
-        out = _ode_grid(spec, rho0, times)
+        out = _ode_grid(bath, rho0, times)
     _check(out, times, 1e-6, RuntimeError, "propagated state")
     return out
 
 
-def propagate(spec: PropagatorSpec, rho0, t) -> np.ndarray:
+def propagate(bath: BathSpec, rho0, t, engine: str = "closed_form") -> np.ndarray:
     """Evolve rho0 to a single time t (absolute units of 1/omega0)."""
     t = check_time(t)
     grid = np.array([0.0]) if t == 0.0 else np.array([0.0, t])
-    return propagate_grid(spec, rho0, grid)[-1]
+    return propagate_grid(bath, rho0, grid, engine)[-1]
 
 
-def coherence_trace(spec: PropagatorSpec, state: StateSpec, gamma0_t) -> CoherenceTrace:
+def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "closed_form") -> CoherenceTrace:
     """Sample the relative entropy of coherence along a gamma0*t grid.
 
     The grid is dimensionless (gamma0 * t, the x axis of all the plots);
-    actual times are gamma0_t / gamma0, so eta = 0 is rejected.
+    actual times are gamma0_t / gamma0.  ValueError, naming eta, kbt and
+    t_max, if those times are not finite and strictly increasing: gamma0 is
+    0 at eta = 0, and the division can underflow or overflow.
     """
-    grid = np.asarray(gamma0_t, dtype=float)
-    g0 = markov_rate(spec.bath)
-    if g0 <= 0.0:
-        raise ValueError("gamma0 = 0 (eta = 0): the gamma0*t axis is undefined")
+    grid = check_time(gamma0_t, grid=True)
+    g0 = markov_rate(bath)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        times = grid / g0
+    if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+        raise ValueError(f"the gamma0*t grid to t_max = {grid[-1]:g} has no finite, strictly increasing times "
+                         f"at eta = {bath.eta:g}, kbt = {bath.kbt:g} (gamma0 = 4 pi eta kbt = {g0:g}); "
+                         "change eta, kbt or t_max")
     rho0 = make_state(state)
-    rhos = propagate_grid(spec, rho0, grid / g0)
+    rhos = propagate_grid(bath, rho0, times, engine)
     values = np.array([rel_entropy_coherence(rho) for rho in rhos])
-    return CoherenceTrace(gamma0_t=grid.copy(), values=values,
-                          state=state, bath=spec.bath, engine=spec.engine)
+    return CoherenceTrace(gamma0_t=grid.copy(), values=values, state=state, bath=bath, engine=engine)

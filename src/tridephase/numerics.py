@@ -5,8 +5,8 @@ log-gamma ratio and the imaginary part of the digamma function), the
 eigenvalues of a Hermitian matrix, a fixed-step classical Runge-Kutta
 integrator for elementwise-linear equations that takes its time-dependent
 coefficients as one table and the substeps of a trace as one running
-product, and the one validator for times and time grids.  Nothing here
-knows about baths or qubits.
+product, and the validators for config numbers, times and time grids.
+Nothing here knows about baths or qubits.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "PropagationError",
+    "check_number",
     "check_time",
     "loggamma_re_diff",
     "digamma_im",
@@ -49,6 +50,23 @@ class PropagationError(RuntimeError):
         self.last_good_time = last_good_time
 
 
+def check_number(field: str, value, low: float, strict: bool = False) -> float:
+    """A config number as a float: an int or a float, not a bool, finite (an int too
+    large for a float reads as inf), and >= low, or > low with ``strict``.  Else
+    ValueError("field '<name>' <note>: ..."), for a ``field`` of "<name> <note>"."""
+    name, space, note = field.partition(" ")
+    where = f"field '{name}'{space}{note}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (number > low if strict else number >= low)):
+        raise ValueError(f"{where}: must be a finite number {'>' if strict else '>='} {low:g}, got {number!r}")
+    return number
+
+
 def check_time(t, grid: bool = False):
     """Validate a time, or an array of times, and return it as float(s).
 
@@ -78,7 +96,7 @@ def check_time(t, grid: bool = False):
 
 def _stirling_shift(c: float) -> np.ndarray:
     """c, c + 1, ..., c + N - 1 for the smallest N with c + N >= 16."""
-    return c + np.arange(max(0, math.ceil(_STIRLING_MIN - c)))
+    return c + np.arange(math.ceil(max(0.0, _STIRLING_MIN - c)))  # none at c = inf
 
 
 def loggamma_re_diff(c: float, y):
@@ -144,8 +162,10 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 
 def substep_counts(spans, max_step: float | None) -> np.ndarray:
-    """RK4 substeps per grid interval, each at most ``max_step`` (one without it), as floats."""
-    return np.maximum(1.0, np.ceil(np.asarray(spans) / (max_step or math.inf)))
+    """RK4 substeps per grid interval, each at most ``max_step`` (one without it), as floats;
+    inf where a span over the step overflows, or at a step of 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.maximum(1.0, np.ceil(np.asarray(spans) / (math.inf if max_step is None else max_step)))
 
 
 def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | None = None, *,

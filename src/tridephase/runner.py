@@ -26,7 +26,6 @@ with both columns printed to 9 significant digits and LF line endings.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,10 +33,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .bath import MEMORIES, TOPOLOGIES, BathSpec
-from .dynamics import ENGINES, PropagatorSpec, coherence_trace
+from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec
+from .dynamics import ENGINES, coherence_trace
 from .measures import CoherenceTrace
-from .states import MIXED_STATE_NAMES, STATE_NAMES, StateSpec
+from .numerics import check_number
+from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, StateSpec
 
 __all__ = [
     "ConfigError",
@@ -46,6 +46,7 @@ __all__ = [
     "ENGINE_ALIASES",
     "FIGURE_IDS",
     "DEFAULT_N_POINTS",
+    "MAX_N_POINTS",
     "parse_config",
     "trace_csv_bytes",
     "run_scenarios",
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 DEFAULT_N_POINTS = 201
+# grid points per trace, for configs and --points alike.  At the bound a ghz
+# trace takes 10-12 s closed-form or 13 s with ode, and the process peaks at
+# 380-420 MB resident (2-core host, one BLAS thread)
+MAX_N_POINTS = 100_001
 # default plot windows in gamma0*t, by memory mode
 DEFAULT_T_MAX = {"markov": 3.0, "non_markov": 0.2}
 
@@ -61,8 +66,6 @@ ENGINE_ALIASES = {"closed_form": "closed_form", "closed-form": "closed_form", "o
 
 _SCENARIO_FIELDS = ("state", "p", "topology", "memory", "eta", "lambda", "kbt",
                     "t_max", "n_points", "engine", "output")
-# fields that may carry a list to be swept
-_SWEEP_FIELDS = ("p", "topology", "memory")
 
 FIGURE_IDS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "fig5")
 
@@ -91,13 +94,11 @@ class ScenarioConfig:
     output: str
 
     def __post_init__(self):
-        if isinstance(self.t_max, bool) or not (isinstance(self.t_max, (int, float))
-                                                and math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
-        if not (isinstance(self.n_points, int) and self.n_points >= 2):
-            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        object.__setattr__(self, "t_max", check_number("t_max", self.t_max, 0.0, strict=True))
+        if not (isinstance(self.n_points, int) and 2 <= self.n_points <= MAX_N_POINTS):
+            raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
         if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+            raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {self.engine!r}")
         # a plain file name, so that every CSV lands inside the output directory
         if (not isinstance(self.output, str) or self.output in ("", ".", "..")
                 or "/" in self.output or "\\" in self.output):
@@ -121,25 +122,6 @@ def _context(label: str, field: str, message: str) -> ConfigError:
     return ConfigError(f"{label}: field '{field}': {message}")
 
 
-def _number(label: str, field: str, value, minimum=None, strict_min=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _context(label, field, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise _context(label, field, f"must be finite, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _context(label, field, f"must be >= {minimum}, got {value!r}")
-    if strict_min is not None and value <= strict_min:
-        raise _context(label, field, f"must be > {strict_min}, got {value!r}")
-    return value
-
-
-def _choice(label: str, field: str, value, choices) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise _context(label, field, f"must be one of {', '.join(choices)}; got {value!r}")
-    return value
-
-
 def _sweep(label: str, entry: dict, field: str) -> list:
     value = entry[field]
     if value == []:
@@ -147,75 +129,48 @@ def _sweep(label: str, entry: dict, field: str) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _format_p(p: float) -> str:
-    return format(float(p), "g")
-
-
-def _auto_output(state: StateSpec, topology: str, memory: str) -> str:
+def _auto_output(state: StateSpec, bath: BathSpec) -> str:
     if state.name in MIXED_STATE_NAMES:
-        return f"{state.name}_p{_format_p(state.p)}_{topology}_{memory}.csv"
-    return f"{state.name}_{topology}_{memory}.csv"
+        return f"{state.name}_p{state.p:g}_{bath.topology}_{bath.memory}.csv"
+    return f"{state.name}_{bath.topology}_{bath.memory}.csv"
 
 
 def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
     for key in entry:
         if key not in _SCENARIO_FIELDS:
             raise _context(label, str(key), f"unknown field; valid fields: {', '.join(_SCENARIO_FIELDS)}")
+    for key in ("state", "topology", "memory"):
+        if key not in entry:
+            raise _context(label, key, "required")
 
-    if "state" not in entry:
-        raise _context(label, "state", "required")
-    state_name = _choice(label, "state", entry["state"], STATE_NAMES)
+    name = entry["state"]
+    ps = _sweep(label, entry, "p") if "p" in entry else []
+    if name in MIXED_STATE_NAMES and not ps:
+        raise _context(label, "p", f"required for mixed state {name!r}")
+    if name in PURE_STATE_NAMES and ps:
+        raise _context(label, "p", f"not used by pure state {name!r}; drop it")
+    topologies, memories = _sweep(label, entry, "topology"), _sweep(label, entry, "memory")
+    engine = entry.get("engine", "closed_form")
+    engine = ENGINE_ALIASES.get(engine, engine) if isinstance(engine, str) else engine
+    output, t_max = entry.get("output"), entry.get("t_max")
 
-    if "topology" not in entry:
-        raise _context(label, "topology", "required")
-    topologies = [_choice(label, "topology", v, TOPOLOGIES) for v in _sweep(label, entry, "topology")]
-    if "memory" not in entry:
-        raise _context(label, "memory", "required")
-    memories = [_choice(label, "memory", v, MEMORIES) for v in _sweep(label, entry, "memory")]
-
-    ps = [_number(label, "p", v) for v in _sweep(label, entry, "p")] if "p" in entry else [None]
-    for p in ps:
-        if p is not None and not (0.0 <= p <= 1.0):
-            raise _context(label, "p", f"must lie in [0, 1], got {p!r}")
-    if state_name in MIXED_STATE_NAMES and ps == [None]:
-        raise _context(label, "p", f"required for mixed state {state_name!r}")
-    if state_name not in MIXED_STATE_NAMES and ps != [None]:
-        raise _context(label, "p", f"not used by pure state {state_name!r}; drop it")
-
-    eta = _number(label, "eta", entry.get("eta", BathSpec().eta), minimum=0.0)
-    lam = _number(label, "lambda", entry.get("lambda", BathSpec().lambda_cutoff), strict_min=0.0)
-    kbt = _number(label, "kbt", entry.get("kbt", BathSpec().kbt), strict_min=0.0)
-
-    n_points = entry.get("n_points", DEFAULT_N_POINTS)
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 2:
-        raise _context(label, "n_points", f"must be an integer >= 2, got {n_points!r}")
-
-    engine_raw = entry.get("engine", "closed_form")
-    if not isinstance(engine_raw, str) or engine_raw not in ENGINE_ALIASES:
-        raise _context(label, "engine", f"must be one of {', '.join(sorted(set(ENGINE_ALIASES)))}; got {engine_raw!r}")
-    engine = ENGINE_ALIASES[engine_raw]
-
-    output = entry.get("output")
-    if output is not None and not isinstance(output, str):
-        raise _context(label, "output", f"expected a string, got {output!r}")
-
-    combos = [(p, topology, memory) for p in ps for topology in topologies for memory in memories]
-    if output is not None and len(combos) > 1:
-        raise _context(label, "output", f"fixed name with a sweep of {len(combos)} scenarios; "
+    # each spec checks its own fields; p varies slowest, memory fastest
+    try:
+        states = [StateSpec(name, p) for p in ps] or [StateSpec(name)]
+        baths = [BathSpec(eta=entry.get("eta", DEFAULT_ETA),
+                          lambda_cutoff=entry.get("lambda", DEFAULT_LAMBDA_CUTOFF),
+                          kbt=entry.get("kbt", DEFAULT_KBT), topology=topology, memory=memory)
+                 for topology in topologies for memory in memories]
+        scenarios = [ScenarioConfig(state=state, bath=bath,
+                                    t_max=DEFAULT_T_MAX[bath.memory] if t_max is None else t_max,
+                                    n_points=entry.get("n_points", DEFAULT_N_POINTS), engine=engine,
+                                    output=_auto_output(state, bath) if output is None else output)
+                     for state in states for bath in baths]
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+    if output is not None and len(scenarios) > 1:
+        raise _context(label, "output", f"fixed name with a sweep of {len(scenarios)} scenarios; "
                                         "drop 'output' to use automatic names")
-
-    scenarios = []
-    for p, topology, memory in combos:
-        state = StateSpec(state_name, 1.0 if p is None else p)
-        bath = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, topology=topology, memory=memory)
-        t_max = entry.get("t_max")
-        t_max = DEFAULT_T_MAX[memory] if t_max is None else _number(label, "t_max", t_max, strict_min=0.0)
-        name = output if output is not None else _auto_output(state, topology, memory)
-        try:
-            scenarios.append(ScenarioConfig(state=state, bath=bath, t_max=t_max,
-                                            n_points=n_points, engine=engine, output=name))
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from exc
     return scenarios
 
 
@@ -289,9 +244,8 @@ def trace_csv_bytes(trace: CoherenceTrace) -> bytes:
 
 
 def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
-    spec = PropagatorSpec(bath=scenario.bath, engine=scenario.engine)
     grid = np.linspace(0.0, scenario.t_max, scenario.n_points)
-    trace = coherence_trace(spec, scenario.state, grid)
+    trace = coherence_trace(scenario.bath, scenario.state, grid, scenario.engine)
     path = out_dir / scenario.output
     # render into a temp file beside the target and rename it into place, so
     # a failure never leaves a partial CSV
@@ -343,7 +297,7 @@ def figure_scenarios(figure_id: str) -> list[ScenarioConfig]:
         runs = [(StateSpec(name), topology, memory, f"{figure_id}_{name}.csv") for name in _FIG2_STATES]
     else:
         name = _FIGURE_MIXTURES[figure_id]
-        runs = [(StateSpec(name, p), topology, memory, f"{figure_id}{panel}_{name}_p{_format_p(p)}.csv")
+        runs = [(StateSpec(name, p), topology, memory, f"{figure_id}{panel}_{name}_p{p:g}.csv")
                 for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
     return [ScenarioConfig(state=state, bath=BathSpec(topology=topology, memory=memory),
                            t_max=DEFAULT_T_MAX[memory], n_points=DEFAULT_N_POINTS,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_number
+
 __all__ = [
     "PURE_STATE_NAMES",
     "MIXED_STATE_NAMES",
@@ -51,9 +53,10 @@ class StateSpec:
 
     def __post_init__(self):
         if self.name not in STATE_NAMES:
-            raise ValueError(f"unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
-        if isinstance(self.p, bool) or not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"p must be a number in [0, 1], got {self.p!r}")
+            raise ValueError(f"field 'state': unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
+        object.__setattr__(self, "p", check_number("p", self.p, 0.0))
+        if self.p > 1.0:
+            raise ValueError(f"field 'p': must lie in [0, 1], got {self.p!r}")
 
 
 def _projector(v: np.ndarray) -> np.ndarray:
@@ -68,11 +71,10 @@ def make_state(spec: StateSpec) -> np.ndarray:
     """
     if spec.name in PURE_STATE_NAMES:
         return _projector(_VECTORS[spec.name])
-    p = float(spec.p)
     if spec.name == "ghz-w":
-        return p * _projector(_VECTORS["ghz"]) + (1.0 - p) * _projector(_VECTORS["w"])
+        return spec.p * _projector(_VECTORS["ghz"]) + (1.0 - spec.p) * _projector(_VECTORS["w"])
     base = "ghz" if spec.name == "werner-ghz" else "w"
-    return p * _projector(_VECTORS[base]) + (1.0 - p) / 8.0 * np.eye(8, dtype=complex)
+    return spec.p * _projector(_VECTORS[base]) + (1.0 - spec.p) / 8.0 * np.eye(8, dtype=complex)
 
 
 def residuals(rhos) -> np.ndarray:

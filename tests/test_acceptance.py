@@ -11,7 +11,7 @@ import pytest
 
 from tridephase.bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from tridephase import dynamics
-from tridephase.dynamics import PropagatorSpec, coherence_trace, propagate, propagate_grid
+from tridephase.dynamics import coherence_trace, propagate, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import StateSpec, make_state, residuals
 
@@ -38,8 +38,8 @@ def _verdict(num: int, ok: bool, text: str) -> bool:
     return ok
 
 
-def _spec(topology: str, memory: str, engine: str = "closed_form") -> PropagatorSpec:
-    return PropagatorSpec(bath=BathSpec(topology=topology, memory=memory), engine=engine)
+def _bath(topology: str, memory: str) -> BathSpec:
+    return BathSpec(topology=topology, memory=memory)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,8 @@ def engine_sweep():
     for label, sspec in SWEEP_STATES:
         rho0 = make_state(sspec)
         for topology, memory in CONFIGS:
-            closed = propagate_grid(_spec(topology, memory), rho0, times)
-            ode = propagate_grid(_spec(topology, memory, "ode"), rho0, times)
+            closed = propagate_grid(_bath(topology, memory), rho0, times)
+            ode = propagate_grid(_bath(topology, memory), rho0, times, "ode")
             out[(label, topology, memory)] = (rho0, closed, ode)
     return times, out
 
@@ -69,14 +69,14 @@ def test_criterion_01_initial_coherences():
 
 
 def test_criterion_02_w_state_flat_in_common_markov_bath():
-    trace = coherence_trace(_spec("common", "markov"), StateSpec("w"),
+    trace = coherence_trace(_bath("common", "markov"), StateSpec("w"),
                             np.linspace(0.0, 3.0, 21))
     dev = float(np.max(np.abs(trace.values - math.log(3.0))))
     assert _verdict(2, dev < 1e-9, f"w coherence constant at ln 3, max dev {dev:.2e}")
 
 
 def test_criterion_03_wwbar_saturates_at_ln3():
-    rho = propagate(_spec("common", "markov"), make_state(StateSpec("wwbar")), 5.0 / G0)
+    rho = propagate(_bath("common", "markov"), make_state(StateSpec("wwbar")), 5.0 / G0)
     value = rel_entropy_coherence(rho)
     dev = abs(value - math.log(3.0))
     assert _verdict(3, dev < 1e-3,
@@ -84,7 +84,7 @@ def test_criterion_03_wwbar_saturates_at_ln3():
 
 
 def test_criterion_04_ghz_common_markov_decay():
-    spec = _spec("common", "markov")
+    spec = _bath("common", "markov")
     rho0 = make_state(StateSpec("ghz"))
     early = rel_entropy_coherence(propagate(spec, rho0, 0.1 / G0))
     late = rel_entropy_coherence(propagate(spec, rho0, 0.3 / G0))
@@ -93,7 +93,7 @@ def test_criterion_04_ghz_common_markov_decay():
 
 
 def test_criterion_05_ghz_local_markov_decay():
-    rho = propagate(_spec("local", "markov"), make_state(StateSpec("ghz")), 0.5 / G0)
+    rho = propagate(_bath("local", "markov"), make_state(StateSpec("ghz")), 0.5 / G0)
     value = rel_entropy_coherence(rho)
     ok = abs(value - 1.24e-3) <= 0.1 * 1.24e-3
     assert _verdict(5, ok, f"ghz local decay C_R(0.5) = {value:.4e}, target 1.24e-03 +- 10%")
@@ -119,14 +119,14 @@ def test_criterion_08_werner_w_flat_in_common_markov_bath():
     grid = np.linspace(0.0, 3.0, 21)
     worst = 0.0
     for p in (0.1, 0.5, 0.9):
-        trace = coherence_trace(_spec("common", "markov"), StateSpec("werner-w", p=p), grid)
+        trace = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), grid)
         worst = max(worst, float(np.max(np.abs(trace.values - trace.values[0]))))
     assert _verdict(8, worst < 1e-9, f"werner-w constant under common markov bath, "
                                      f"max drift {worst:.2e} over p in {{0.1, 0.5, 0.9}}")
 
 
 def test_criterion_09_werner_w_local_markov_decay():
-    rho = propagate(_spec("local", "markov"), make_state(StateSpec("werner-w", p=0.5)), 0.5 / G0)
+    rho = propagate(_bath("local", "markov"), make_state(StateSpec("werner-w", p=0.5)), 0.5 / G0)
     value = rel_entropy_coherence(rho)
     assert _verdict(9, value < 0.02, f"werner-w local decay C_R(0.5) = {value:.4e} < 0.02")
 
@@ -161,7 +161,7 @@ def test_criterion_10_non_markov_preservation():
             decaying = topology == "local" or bool(np.any(off & (zw[:, None] != zw[None, :])))
             row = {"label": label, "topology": topology, "decaying": decaying}
             for memory in ("non_markov", "markov"):
-                start, end = propagate_grid(_spec(topology, memory), rho0, times)
+                start, end = propagate_grid(_bath(topology, memory), rho0, times)
                 cr0, cr1 = rel_entropy_coherence(start), rel_entropy_coherence(end)
                 loss = float(np.max(1.0 - np.abs(end[off]) / np.abs(rho0[off]), initial=0.0))
                 # (final C_R, relative C_R drop, worst element loss)
@@ -214,9 +214,9 @@ def test_criterion_12_structural_invariants(engine_sweep):
     # the lamb phase is the diagonal unitary exp(i M(t) Z^2), so taking it
     # off, element by element, cannot move C_R
     worst_lamb = 0.0
-    spec = _spec("common", "non_markov")
+    spec = _bath("common", "non_markov")
     zsq = dynamics._Z[:, None] ** 2 - dynamics._Z[None, :] ** 2
-    unphase = np.exp(-1j * lamb_kernel(spec.bath, times)[1][:, None, None] * zsq)
+    unphase = np.exp(-1j * lamb_kernel(spec, times)[1][:, None, None] * zsq)
     for label, sspec in SWEEP_STATES:
         with_phase = propagate_grid(spec, make_state(sspec), times)
         without = with_phase * unphase

@@ -244,6 +244,13 @@ def test_bath_spec_rejects_booleans(field):
         BathSpec(**{field: True})
 
 
+def test_bath_spec_stores_floats():
+    # an int within float range must not reach numpy as a Python int
+    bath = BathSpec(eta=1, lambda_cutoff=10 ** 300, kbt=2)
+    assert (bath.eta, bath.lambda_cutoff, bath.kbt) == (1.0, 1e300, 2.0)
+    assert all(type(v) is float for v in (bath.eta, bath.lambda_cutoff, bath.kbt))
+
+
 @pytest.mark.parametrize("func", [dephasing_rate, cumulative_decoherence, lamb_kernel])
 def test_negative_time_rejected(func):
     with pytest.raises(ValueError):

@@ -7,22 +7,22 @@ import pytest
 from tridephase import dynamics
 from tridephase.bath import (MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence,
                              lamb_kernel, markov_rate)
-from tridephase.dynamics import ENGINES, OMEGA0, PropagatorSpec, coherence_trace, propagate, propagate_grid
+from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
 
-COMMON_M = PropagatorSpec(bath=BathSpec(topology="common", memory="markov"))
-LOCAL_M = PropagatorSpec(bath=BathSpec(topology="local", memory="markov"))
-COMMON_NM = PropagatorSpec(bath=BathSpec(topology="common", memory="non_markov"))
-LOCAL_NM = PropagatorSpec(bath=BathSpec(topology="local", memory="non_markov"))
+COMMON_M = BathSpec(topology="common", memory="markov")
+LOCAL_M = BathSpec(topology="local", memory="markov")
+COMMON_NM = BathSpec(topology="common", memory="non_markov")
+LOCAL_NM = BathSpec(topology="local", memory="non_markov")
 
-G0 = markov_rate(COMMON_M.bath)  # 0.1 at default parameters
+G0 = markov_rate(COMMON_M)  # 0.1 at default parameters
 
 
 def decoherence_exponent(spec, m, n, t):
     """log of the factor multiplying rho_mn(0) at time t, read off the grid path."""
-    return complex(dynamics._exponents(spec.bath, np.array([t]))[0, m, n])
+    return complex(dynamics._exponents(spec, np.array([t]))[0, m, n])
 
 
 # ------------------------------------------------------------- index algebra
@@ -66,8 +66,8 @@ def test_lamb_phase_term_isolated():
     # (2^2 / 2) Gamma, the phase picks up (9 - 1) big_m
     t = 2.0
     with_phase = decoherence_exponent(COMMON_NM, 0, 1, t)
-    without = -0.5j * OMEGA0 * t * 2.0 - 2.0 * cumulative_decoherence(COMMON_NM.bath, t)
-    _, big_m = lamb_kernel(COMMON_NM.bath, t)
+    without = -0.5j * OMEGA0 * t * 2.0 - 2.0 * cumulative_decoherence(COMMON_NM, t)
+    _, big_m = lamb_kernel(COMMON_NM, t)
     assert abs((with_phase - without) - 1j * 8.0 * big_m) < 1e-15
     assert abs(with_phase.real - without.real) == 0.0
 
@@ -109,9 +109,9 @@ def test_grid_matches_single_times():
 
 def test_propagate_identity_at_zero_time():
     rho0 = make_state(StateSpec("star"))
-    for spec in (COMMON_M, LOCAL_NM, PropagatorSpec(COMMON_M.bath, "ode"),
-                 PropagatorSpec(LOCAL_NM.bath, "ode")):
-        assert np.max(np.abs(propagate(spec, rho0, 0.0) - rho0)) < 1e-15
+    for spec, engine in ((COMMON_M, "closed_form"), (LOCAL_NM, "closed_form"), (COMMON_M, "ode"),
+                         (LOCAL_NM, "ode")):
+        assert np.max(np.abs(propagate(spec, rho0, 0.0, engine) - rho0)) < 1e-15
 
 
 def test_w_state_frozen_under_common_bath():
@@ -124,8 +124,7 @@ def test_w_state_frozen_under_common_bath():
 
 def test_w_state_frozen_under_common_bath_ode():
     rho0 = make_state(StateSpec("w"))
-    spec = PropagatorSpec(bath=COMMON_M.bath, engine="ode")
-    rho = propagate(spec, rho0, 5.0)
+    rho = propagate(COMMON_M, rho0, 5.0, "ode")
     assert np.max(np.abs(rho - rho0)) < 1e-8
 
 
@@ -141,8 +140,7 @@ def test_diagonal_states_are_stationary():
     w = rng.uniform(0.1, 1.0, size=8)
     rho0 = np.diag(w / w.sum()).astype(complex)
     assert np.max(np.abs(propagate(COMMON_M, rho0, 7.0) - rho0)) == 0.0
-    spec_ode = PropagatorSpec(bath=LOCAL_M.bath, engine="ode")
-    assert np.max(np.abs(propagate(spec_ode, rho0, 7.0) - rho0)) < 1e-8
+    assert np.max(np.abs(propagate(LOCAL_M, rho0, 7.0, "ode") - rho0)) < 1e-8
 
 
 def test_coherence_envelope_decreases_markov():
@@ -158,7 +156,7 @@ def test_lamb_phase_changes_elements_not_magnitudes():
     t = 2.0
     rho_with = propagate(COMMON_NM, rho0, t)
     # take the Lamb phase exp(i M(t) (Z_m^2 - Z_n^2)) off each element
-    _, big_m = lamb_kernel(COMMON_NM.bath, t)
+    _, big_m = lamb_kernel(COMMON_NM, t)
     z = dynamics._Z
     rho_without = rho_with * np.exp(-1j * big_m * (z[:, None] ** 2 - z[None, :] ** 2))
     assert np.max(np.abs(rho_with - rho_without)) > 1e-9
@@ -176,7 +174,7 @@ def test_engines_agree_on_ghz(spec):
     rho0 = make_state(StateSpec("ghz"))
     times = np.array([0.0, 1.5, 3.0])
     closed = propagate_grid(spec, rho0, times)
-    ode = propagate_grid(PropagatorSpec(bath=spec.bath, engine="ode"), rho0, times)
+    ode = propagate_grid(spec, rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < 1e-6
 
 
@@ -184,7 +182,7 @@ def test_engines_agree_on_mixture():
     rho0 = make_state(StateSpec("ghz-w", p=0.5))
     times = np.array([0.0, 3.0])
     closed = propagate_grid(LOCAL_M, rho0, times)
-    ode = propagate_grid(PropagatorSpec(bath=LOCAL_M.bath, engine="ode"), rho0, times)
+    ode = propagate_grid(LOCAL_M, rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < 1e-6
 
 
@@ -194,8 +192,8 @@ def test_engines_agree_without_coupling(topology, memory):
     # eta = 0 leaves only the free phase; no decay rate bounds the ODE step
     bath = BathSpec(eta=0.0, topology=topology, memory=memory)
     rho0 = make_state(StateSpec("ghz"))
-    closed = propagate(PropagatorSpec(bath=bath), rho0, 5.0)
-    ode = propagate(PropagatorSpec(bath=bath, engine="ode"), rho0, 5.0)
+    closed = propagate(bath, rho0, 5.0)
+    ode = propagate(bath, rho0, 5.0, "ode")
     assert np.max(np.abs(closed - ode)) < 1e-12
     assert abs(ode[0, 7]) == pytest.approx(0.5)
 
@@ -208,8 +206,8 @@ def test_engines_agree_when_memory_outpaces_gamma0(topology, state):
     bath = BathSpec(eta=0.5, lambda_cutoff=1.0, kbt=1e-3, topology=topology, memory="non_markov")
     rho0 = make_state(StateSpec(state))
     times = np.linspace(0.0, 3.0, 4)
-    closed = propagate_grid(PropagatorSpec(bath=bath), rho0, times)
-    ode = propagate_grid(PropagatorSpec(bath=bath, engine="ode"), rho0, times)
+    closed = propagate_grid(bath, rho0, times)
+    ode = propagate_grid(bath, rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < 1e-6
 
 
@@ -220,10 +218,9 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
     monkeypatch.setattr(dynamics, "dephasing_rate", kernel)
     monkeypatch.setattr(dynamics, "lamb_kernel", kernel)
     bath = BathSpec(eta=1e-8, memory="non_markov")
-    spec = PropagatorSpec(bath=bath, engine="ode")
     times = np.linspace(0.0, 0.2, 201) / markov_rate(bath)
     with pytest.raises(ValueError, match="eta = 1e-08") as info:
-        propagate_grid(spec, make_state(StateSpec("ghz")), times)
+        propagate_grid(bath, make_state(StateSpec("ghz")), times, "ode")
     assert "t_max" in str(info.value) and "closed_form" in str(info.value)
 
 
@@ -231,27 +228,42 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
                                          (BathSpec(), 1e300)], ids=["eta", "t_max"])
 def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
     # 1e298 substeps or more: an int cast of the counts would wrap under the budget
-    spec = PropagatorSpec(bath=bath, engine="ode")
     with pytest.raises(ValueError, match="over the budget") as info:
-        coherence_trace(spec, StateSpec("ghz"), np.linspace(0.0, t_max, 201))
+        coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, t_max, 201), "ode")
     message = str(info.value)
     assert f"eta = {bath.eta:g}" in message and "t_max" in message
     assert ("lambda = " in message) == (bath.memory == "non_markov")
 
 
+@pytest.mark.parametrize("eta, lam, kbt, engine, error", [
+    (1e-300, 1e-300, 1e-3, "ode", None),  # lambda ** -2 raised OverflowError; a numpy power gives inf
+    (1e-300, 1e-300, 1e30, "closed_form", "bath kernels overflow"),  # the Stirling shift took ceil(-inf)
+    (1e30, 1e300, 1e-300, "ode", "over the budget"),  # eta * lambda = inf made a step of 0, read as no step
+])
+def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
+    bath = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, memory="non_markov")
+    grid = np.linspace(0.0, 1e-300, 5)
+    if error is None:
+        values = coherence_trace(bath, StateSpec("ghz"), grid, engine).values
+        assert np.allclose(values, math.log(2.0), rtol=0.0, atol=1e-12)
+        return
+    with pytest.raises(ValueError, match=error) as info:
+        coherence_trace(bath, StateSpec("ghz"), grid, engine)
+    assert "eta = " in str(info.value) and "lambda = " in str(info.value)
+
+
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
     monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
     with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):
-        propagate(PropagatorSpec(BathSpec(), "ode"), make_state(StateSpec("ghz")), 2.0)
+        propagate(BathSpec(), make_state(StateSpec("ghz")), 2.0, "ode")
 
 
 def test_ode_peak_memory_is_bounded_by_blocks():
     # one interval of 14400 RK4 substeps; the factors are formed 256 at a time
     rho0 = make_state(StateSpec("ghz"))
-    spec = PropagatorSpec(bath=BathSpec(), engine="ode")
     tracemalloc.start()
     try:
-        propagate(spec, rho0, 80.0)
+        propagate(BathSpec(), rho0, 80.0, "ode")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,7 +307,7 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
     rho0 = np.outer(v, v.conj()) / np.vdot(v, v).real
     times = np.linspace(0.0, 0.2, 41) / G0
     bath = BathSpec(topology=topology, memory="non_markov")
-    rhos = propagate_grid(PropagatorSpec(bath, "ode"), rho0, times)
+    rhos = propagate_grid(bath, rho0, times, "ode")
 
     ((rate, grid, max_step, coefficients),) = calls
     assert rate(np.ones((5, 3, 2))).shape == (5, 3, classes)
@@ -325,8 +337,8 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
         return ode_propagate(rate, y0, grid, max_step, coefficients=table)
 
     monkeypatch.setattr(dynamics, "ode_propagate", counting)
-    spec = PropagatorSpec(bath=BathSpec(topology=topology, memory=memory), engine="ode")
-    coherence_trace(spec, StateSpec("ghz"), np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201))
+    coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"),
+                    np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201), "ode")
     assert taken == [substeps]
 
 
@@ -348,22 +360,21 @@ def test_trace_carries_run_context():
     grid = np.linspace(0.0, 1.0, 3)
     trace = coherence_trace(COMMON_M, StateSpec("ghz"), grid)
     assert trace.engine == "closed_form"
-    assert trace.bath is COMMON_M.bath
+    assert trace.bath is COMMON_M
     assert trace.state.name == "ghz"
     assert np.array_equal(trace.gamma0_t, grid)
 
 
 def test_trace_rejects_zero_coupling():
-    spec = PropagatorSpec(bath=BathSpec(eta=0.0))
     with pytest.raises(ValueError):
-        coherence_trace(spec, StateSpec("ghz"), np.array([0.0, 1.0]))
+        coherence_trace(BathSpec(eta=0.0), StateSpec("ghz"), np.array([0.0, 1.0]))
 
 
 # --------------------------------------------------------------- validation
 
-def test_propagator_spec_rejects_unknown_engine():
+def test_propagate_grid_rejects_unknown_engine():
     with pytest.raises(ValueError):
-        PropagatorSpec(bath=BathSpec(), engine="euler")
+        propagate_grid(BathSpec(), make_state(StateSpec("ghz")), [0.0, 1.0], "euler")
     assert set(ENGINES) == {"closed_form", "ode"}
 
 
@@ -423,5 +434,5 @@ def test_output_check_names_the_first_bad_sample(monkeypatch, factor, k):
     monkeypatch.setattr(dynamics, "ode_propagate", spoiled)
     times = np.linspace(0.0, 3.0, 201) / G0
     with pytest.raises(RuntimeError) as info:
-        propagate_grid(PropagatorSpec(COMMON_M.bath, "ode"), make_state(StateSpec("ghz")), times)
+        propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
     assert f"propagated state at t={times[k]:g} violates" in str(info.value)

@@ -3,17 +3,22 @@
 C_R along a trace is checked against a per-sample reference, which takes
 C_R one matrix at a time, so any batched trace path must reproduce it bit
 for bit.  The two engines are checked against each other on drawn baths.
+Every config over the whole numeric domain either runs or fails naming a
+field.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence, markov_rate
-from tridephase.dynamics import PropagatorSpec, coherence_trace, propagate_grid
-from tridephase.states import STATE_NAMES, StateSpec, make_state
+from tridephase.dynamics import ENGINES, coherence_trace, propagate_grid
+from tridephase.runner import ConfigError, parse_config, run_scenarios
+from tridephase.states import MIXED_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
 TOL = 1e-6
 
@@ -43,10 +48,9 @@ scenarios = st.fixed_dictionaries({
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(scenarios)
 def test_trace_matches_per_sample_reference(sc):
-    spec = PropagatorSpec(bath=sc["bath"])
     grid = np.linspace(0.0, sc["t_max"], sc["n_points"])
-    trace = coherence_trace(spec, sc["state"], grid)
-    rhos = propagate_grid(spec, make_state(sc["state"]), grid / markov_rate(sc["bath"]))
+    trace = coherence_trace(sc["bath"], sc["state"], grid)
+    rhos = propagate_grid(sc["bath"], make_state(sc["state"]), grid / markov_rate(sc["bath"]))
     assert np.array_equal(trace.values, [reference_coherence(rho) for rho in rhos])
 
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))), axis=(1, 2))
@@ -60,14 +64,13 @@ def test_trace_matches_per_sample_reference(sc):
 def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     # pure dephasing multiplies rho elementwise by a positive Schur factor of
     # unit diagonal while Gamma(t) grows, an incoherent operation
-    spec = PropagatorSpec(bath=sc["bath"])
     grid = np.linspace(0.0, sc["t_max"], sc["n_points"])
     times = grid / markov_rate(sc["bath"])
     rho0 = make_state(sc["state"])
-    rhos = propagate_grid(spec, rho0, times)
+    rhos = propagate_grid(sc["bath"], rho0, times)
     assert np.array_equal(rhos.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
-    values = coherence_trace(spec, sc["state"], grid).values
+    values = coherence_trace(sc["bath"], sc["state"], grid).values
     decaying = np.diff(cumulative_decoherence(sc["bath"], times)) >= 0.0
     assert np.all(np.diff(values)[decaying] <= 1e-12)
 
@@ -106,6 +109,45 @@ engine_scenarios = st.fixed_dictionaries({
 def test_engines_agree_on_drawn_baths(sc):
     times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
     rho0 = make_state(sc["state"])
-    closed = propagate_grid(PropagatorSpec(bath=sc["bath"]), rho0, times)
-    ode = propagate_grid(PropagatorSpec(bath=sc["bath"], engine="ode"), rho0, times)
+    closed = propagate_grid(sc["bath"], rho0, times)
+    ode = propagate_grid(sc["bath"], rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < TOL
+
+
+# eta, lambda, kbt and t_max log-uniform over [1e-300, 1e300], any state,
+# bath and engine, and up to 9 points
+config_domain = st.fixed_dictionaries({
+    "state": st.sampled_from(STATE_NAMES),
+    "p": st.floats(0.0, 1.0),
+    "topology": st.sampled_from(TOPOLOGIES),
+    "memory": st.sampled_from(MEMORIES),
+    "eta": log_uniform(1e-300, 1e300),
+    "lambda": log_uniform(1e-300, 1e300),
+    "kbt": log_uniform(1e-300, 1e300),
+    "t_max": log_uniform(1e-300, 1e300),
+    "n_points": st.integers(2, 9),
+    "engine": st.sampled_from(ENGINES),
+})
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(config_domain)
+def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
+    # YAML 1.1 reads a float only with a dot and a signed exponent, as .17e writes it
+    numbers = ("eta", "lambda", "kbt", "t_max") + (("p",) if cfg["state"] in MIXED_STATE_NAMES else ())
+    fields = [f"{key}: {cfg[key]:.17e}" for key in numbers]
+    fields += [f"{key}: {cfg[key]}" for key in ("state", "topology", "memory", "n_points", "engine")]
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            (result,) = run_scenarios(parse_config("scenarios:\n  - {%s, output: x.csv}\n" % ", ".join(fields)), out)
+            error = result.error
+        except ConfigError as exc:
+            error = exc
+        if error is None:
+            rows = (Path(out) / "x.csv").read_text().splitlines()[9:]
+            values = np.array([float(row.split(",")[1]) for row in rows])
+            assert len(values) == cfg["n_points"]
+            assert np.all((values >= 0.0) & (values <= math.log(8.0)))
+        else:
+            assert isinstance(error, ValueError), repr(error)
+            assert any(name in str(error) for name in ("eta", "lambda", "kbt", "t_max", "n_points")), repr(error)

@@ -8,8 +8,8 @@ import pytest
 from tridephase import runner
 from tridephase.bath import BathSpec
 from tridephase.cli import main
-from tridephase.dynamics import PropagatorSpec, coherence_trace
-from tridephase.runner import (DEFAULT_N_POINTS, FIGURE_IDS, ConfigError,
+from tridephase.dynamics import coherence_trace
+from tridephase.runner import (DEFAULT_N_POINTS, FIGURE_IDS, MAX_N_POINTS, ConfigError,
                                ScenarioConfig, figure_scenarios, parse_config,
                                reproduce, run_scenarios, trace_csv_bytes)
 from tridephase.states import StateSpec
@@ -122,6 +122,7 @@ scenarios:
     ("scenarios:\n  - {state: werner-w, topology: common, memory: markov}\n", "p"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, eta: -1}\n", "eta"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, n_points: 1}\n", "n_points"),
+    (f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, n_points: {MAX_N_POINTS + 1}}}\n", "n_points"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, engine: verlet}\n", "engine"),
     ("scenarios:\n  - {state: werner-w, p: [], topology: common, memory: markov}\n", "field 'p'"),
     ("scenarios:\n  - {state: ghz, topology: [], memory: markov}\n", "field 'topology'"),
@@ -220,6 +221,18 @@ def test_parse_rejects_booleans(field):
         parse_config(text)
 
 
+HUGE_INT = "1" + "0" * 400  # too large for a float
+
+
+@pytest.mark.parametrize("value", [HUGE_INT, ".nan", ".inf", "-.inf"], ids=["huge", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
+def test_parse_rejects_bad_numbers(field, value):
+    # booleans are test_parse_rejects_booleans
+    text = f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, {field}: {value}}}\n"
+    with pytest.raises(ConfigError, match=f"scenario 1: field '{field}'"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("field", ["t_max", "output"])
 def test_scenario_config_names_the_bad_field(field):
     good = dict(state=StateSpec("ghz"), bath=BathSpec(), t_max=3.0, n_points=4,
@@ -231,8 +244,8 @@ def test_scenario_config_names_the_bad_field(field):
 # ---------------------------------------------------------------- csv bytes
 
 def w_trace(n_points=5):
-    spec = PropagatorSpec(bath=BathSpec(topology="common", memory="markov"))
-    return coherence_trace(spec, StateSpec("w"), np.linspace(0.0, 3.0, n_points))
+    return coherence_trace(BathSpec(topology="common", memory="markov"), StateSpec("w"),
+                           np.linspace(0.0, 3.0, n_points))
 
 
 def test_csv_layout():
@@ -408,6 +421,16 @@ def test_cli_rejects_fewer_than_two_points(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+def test_cli_rejects_points_past_the_bound(tmp_path, capsys, command):
+    cfg = tmp_path / "traces.yaml"
+    cfg.write_text(MINIMAL)
+    target = str(cfg) if command == "run" else "fig2a"
+    assert main([command, target, "--out-dir", str(tmp_path / "out"), "--points", str(MAX_N_POINTS + 1)]) == 2
+    assert f"--points: field 'n_points': must be an integer in [2, {MAX_N_POINTS}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reproduce(tmp_path, capsys):
     code = main(["reproduce", "fig2a", "--out-dir", str(tmp_path), "--points", "3"])
     assert code == 0
@@ -441,6 +464,16 @@ def test_cli_rejects_escaping_output(tmp_path, capsys, output):
     assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert "output" in capsys.readouterr().err
     assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["a", "a/out", "cfg.yaml"]
+
+
+@pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
+def test_cli_huge_integer_exits_two(tmp_path, capsys, field):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, "
+                   f"n_points: 3, {field}: {HUGE_INT}}}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"scenario 1: field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_p_on_a_pure_state(tmp_path, capsys):
@@ -489,14 +522,14 @@ def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "ghz_common_non_markov.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bath, t_max", [
     (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
     (BathSpec(memory="non_markov"), 1e300),
     (BathSpec(kbt=1e-300, memory="non_markov"), 0.2),
 ], ids=["lambda", "t_max", "kbt"])
 def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max):
-    # the kernels overflow to inf or nan on these grids
+    # the kernels overflow to inf or nan on these grids, or the grid passes
+    # the free phase's bound first
     scenario = ScenarioConfig(state=StateSpec("ghz"), bath=bath, t_max=t_max, n_points=201,
                               engine="closed_form", output="x.csv")
     (result,) = run_scenarios([scenario], tmp_path)

@@ -200,7 +200,7 @@ def test_state_spec_rejects_unknown_name():
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), True, "0.5"])
 def test_state_spec_rejects_bad_weight(p):
-    with pytest.raises(ValueError, match="p must"):
+    with pytest.raises(ValueError, match="field 'p'"):
         StateSpec("werner-w", p=p)
 
 
