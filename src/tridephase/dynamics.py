@@ -54,11 +54,6 @@ _DISSIPATORS = {
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
 
-# bound on a phase of the factors on rho_mn: up to it, rounding (2^-53 relative)
-# keeps the phases within 1e-8 of each other, the tolerance of the measures;
-# past it the rounded phases of star (Z_m - Z_n in {2, 4, 6}) make no state
-_MAX_PHASE = 1e-8 * 2.0 ** 53
-
 # RK4 substeps the ode engine may take for one trace; it bounds the stage-time
 # and coefficient tables, and such a trace takes about 0.3 s
 _MAX_SUBSTEPS = 200_000
@@ -77,15 +72,12 @@ def _check(rhos: np.ndarray, times: np.ndarray, bounds, error: type, what: str) 
 
 def _finite(compute, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """The table ``compute()`` of a grid (kernel rows, exponents or phases), or ValueError
-    naming the bath if it overflowed (numpy's warnings are left to this check) or
-    holds a phase past _MAX_PHASE, which the free phase passes at t of about 3e7."""
+    naming the bath if it overflowed; numpy's warnings are left to this check."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         table = compute()
-        unresolved = (np.abs(table.imag) > _MAX_PHASE).any()
-    if not unresolved and np.isfinite(table).all():
+    if np.isfinite(table).all():
         return table
-    what = f"phases past {_MAX_PHASE:.3g} lose 1e-8" if unresolved else "bath kernels overflow"
-    raise ValueError(f"{what} on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
+    raise ValueError(f"bath kernels overflow on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
                      f"lambda = {bspec.lambda_cutoff:g}, kbt = {bspec.kbt:g}; shorten t_max or change them")
 
 
@@ -173,7 +165,7 @@ def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> 
     rho0 = np.asarray(rho0, dtype=complex)
     _check(rho0[None], times, (1e-12, 1e-12, 1e-10), ValueError, "rho0")
     if engine == "closed_form":
-        out = rho0 * np.exp(_finite(lambda: _exponents(bath, times), bath, times))
+        out = rho0 * _finite(lambda: np.exp(_exponents(bath, times)), bath, times)
     else:
         out = _ode_grid(bath, rho0, times)
     _check(out, times, 1e-6, RuntimeError, "propagated state")
@@ -191,19 +183,26 @@ def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "c
     """Sample the relative entropy of coherence along a gamma0*t grid.
 
     The grid is dimensionless (gamma0 * t, the x axis of all the plots);
-    actual times are gamma0_t / gamma0.  ValueError, naming eta, kbt and
-    t_max, if those times are not finite and strictly increasing: gamma0 is
-    0 at eta = 0, and the division can underflow or overflow.
+    actual times are gamma0_t / gamma0.  ValueError, naming the bath and
+    t_max, if those times are not finite and strictly increasing (gamma0 is
+    0 at eta = 0, and the division can underflow or overflow), or if the
+    states or C_R fail their checks, as at large phases, where rounding can
+    leave no state.
     """
     grid = check_time(gamma0_t, grid=True)
     g0 = markov_rate(bath)
+    where = (f"on the gamma0*t grid to t_max = {grid[-1]:g} at eta = {bath.eta:g}, "
+             f"lambda = {bath.lambda_cutoff:g}, kbt = {bath.kbt:g}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         times = grid / g0
     if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
-        raise ValueError(f"the gamma0*t grid to t_max = {grid[-1]:g} has no finite, strictly increasing times "
-                         f"at eta = {bath.eta:g}, kbt = {bath.kbt:g} (gamma0 = 4 pi eta kbt = {g0:g}); "
-                         "change eta, kbt or t_max")
-    rho0 = make_state(state)
-    rhos = propagate_grid(bath, rho0, times, engine)
-    values = np.array([rel_entropy_coherence(rho) for rho in rhos])
+        raise ValueError(f"no finite, strictly increasing times {where} (gamma0 = 4 pi eta kbt = {g0:g})")
+    try:  # the output check; propagate_grid's ValueErrors name the bath already
+        rhos = propagate_grid(bath, make_state(state), times, engine)
+    except RuntimeError as exc:
+        raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc
+    try:  # not a state, or C_R below -1e-10
+        values = np.array([rel_entropy_coherence(rho) for rho in rhos])
+    except (RuntimeError, ValueError) as exc:
+        raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc
     return CoherenceTrace(gamma0_t=grid.copy(), values=values, state=state, bath=bath, engine=engine)

@@ -53,17 +53,15 @@ class PropagationError(RuntimeError):
 def check_number(field: str, value, low: float, strict: bool = False) -> float:
     """A config number as a float: an int or a float, not a bool, finite (an int too
     large for a float reads as inf), and >= low, or > low with ``strict``.  Else
-    ValueError("field '<name>' <note>: ..."), for a ``field`` of "<name> <note>"."""
-    name, space, note = field.partition(" ")
-    where = f"field '{name}'{space}{note}"
+    ValueError("field <field>: ..."), with ``field`` printed as given (say "'eta'")."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
+        raise ValueError(f"field {field}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not (math.isfinite(number) and (number > low if strict else number >= low)):
-        raise ValueError(f"{where}: must be a finite number {'>' if strict else '>='} {low:g}, got {number!r}")
+        raise ValueError(f"field {field}: must be a finite number {'>' if strict else '>='} {low:g}, got {number!r}")
     return number
 
 

@@ -56,8 +56,10 @@ __all__ = [
 
 DEFAULT_N_POINTS = 201
 # grid points per trace, for configs and --points alike.  At the bound a ghz
-# trace takes 10-12 s closed-form or 13 s with ode, and the process peaks at
-# 380-420 MB resident (2-core host, one BLAS thread)
+# trace takes 10-13 s closed-form or 13-15 s with ode, and the process peaks at
+# 380-420 MB resident (2-core host, one BLAS thread): 360 MB traced, the 102 MB
+# state stack plus 256 MB of temporaries while the exponents or the residuals
+# of that stack are formed
 MAX_N_POINTS = 100_001
 # default plot windows in gamma0*t, by memory mode
 DEFAULT_T_MAX = {"markov": 3.0, "non_markov": 0.2}
@@ -94,7 +96,7 @@ class ScenarioConfig:
     output: str
 
     def __post_init__(self):
-        object.__setattr__(self, "t_max", check_number("t_max", self.t_max, 0.0, strict=True))
+        object.__setattr__(self, "t_max", check_number("'t_max'", self.t_max, 0.0, strict=True))
         if not (isinstance(self.n_points, int) and 2 <= self.n_points <= MAX_N_POINTS):
             raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
         if self.engine not in ENGINES:

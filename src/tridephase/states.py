@@ -54,7 +54,7 @@ class StateSpec:
     def __post_init__(self):
         if self.name not in STATE_NAMES:
             raise ValueError(f"field 'state': unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
-        object.__setattr__(self, "p", check_number("p", self.p, 0.0))
+        object.__setattr__(self, "p", check_number("'p'", self.p, 0.0))
         if self.p > 1.0:
             raise ValueError(f"field 'p': must lie in [0, 1], got {self.p!r}")
 

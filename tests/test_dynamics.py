@@ -252,6 +252,16 @@ def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
     assert "eta = " in str(info.value) and "lambda = " in str(info.value)
 
 
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_states_lost_to_rounding_fail_naming_the_bath(engine):
+    # gamma0 t = 1e-6 at eta = 1e-30 is t = 2.5e23: star's phases, rounded
+    # one by one, no longer make a state
+    with pytest.raises(ValueError, match="violates density-matrix invariants") as info:
+        coherence_trace(BathSpec(eta=1e-30), StateSpec("star"), np.linspace(0.0, 1e-6, 5), engine)
+    for field in ("eta = 1e-30", "lambda = ", "kbt = ", "t_max = 1e-06"):
+        assert field in str(info.value)
+
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
     monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
     with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):

@@ -528,8 +528,7 @@ def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
     (BathSpec(kbt=1e-300, memory="non_markov"), 0.2),
 ], ids=["lambda", "t_max", "kbt"])
 def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max):
-    # the kernels overflow to inf or nan on these grids, or the grid passes
-    # the free phase's bound first
+    # the kernels overflow to inf or nan on these grids
     scenario = ScenarioConfig(state=StateSpec("ghz"), bath=bath, t_max=t_max, n_points=201,
                               engine="closed_form", output="x.csv")
     (result,) = run_scenarios([scenario], tmp_path)
@@ -539,6 +538,17 @@ def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max):
         assert f"{field} " in message
     assert not (tmp_path / "x.csv").exists()
 
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+def test_small_eta_runs_the_default_markov_window(tmp_path, state):
+    # gamma0 t = 3 at eta = 1e-8 is t = 3e8, a free phase of 9e8: ghz's two
+    # phases are conjugates, and w occupies only elements with Z_m = Z_n
+    (sc,) = parse_config(f"scenarios:\n  - {{state: {state}, topology: common, memory: markov, eta: 1.0e-8}}\n")
+    (result,) = run_scenarios([sc], tmp_path)
+    assert result.ok, result.error
+    rows = (tmp_path / sc.output).read_text().splitlines()[9:]
+    assert len(rows) == DEFAULT_N_POINTS
 
 # ------------------------------------------------------------------- golden
 
