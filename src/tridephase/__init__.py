@@ -6,19 +6,20 @@ exact memoryless rates or the full finite-memory kernels of an ohmic
 spectral density with exponential cutoff.  Coherence is tracked through
 the relative entropy of coherence in the computational basis.
 
-Layered bottom-up: ``numerics`` (log-gamma and digamma series, Hermitian
-spectrum, fixed-step integrator, time validation), ``bath`` (closed-form
-decoherence kernels), ``states`` (the state catalog and its invariant
-residuals), ``dynamics`` (two independent propagation engines), ``measures``
-(entropy and coherence), ``runner``/``cli`` (scenario configs and CSV output).
+Layered bottom-up, each module importing only modules below it: ``numerics``
+(log-gamma and digamma series, Hermitian spectrum, fixed-step integrator,
+number and time validation), ``bath`` (closed-form decoherence kernels),
+``states`` (the state catalog and its invariant residuals), ``measures``
+(entropy and coherence), ``dynamics`` (two independent propagation engines
+and the coherence trace), ``runner`` (scenario configs and CSV output) and
+``cli``.
 """
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
 from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
-from .measures import CoherenceTrace, dephase, rel_entropy_coherence, von_neumann_entropy
-from .runner import (ConfigError, RunResult, ScenarioConfig, parse_config,
-                     reproduce, run_scenarios, trace_csv_bytes)
+from .measures import dephase, rel_entropy_coherence, von_neumann_entropy
+from .runner import ConfigError, RunResult, ScenarioConfig, parse_config, run_scenarios, trace_csv_bytes
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
 __version__ = "0.1.0"
@@ -33,7 +34,6 @@ __all__ = [
     "propagate", "propagate_grid",
     "coherence_trace", "ENGINES", "OMEGA0",
     "von_neumann_entropy", "dephase", "rel_entropy_coherence",
-    "CoherenceTrace",
     "ScenarioConfig", "RunResult", "ConfigError", "parse_config",
-    "run_scenarios", "trace_csv_bytes", "reproduce",
+    "run_scenarios", "trace_csv_bytes",
 ]

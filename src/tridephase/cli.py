@@ -15,19 +15,17 @@ from pathlib import Path
 
 from .runner import (ENGINE_ALIASES, FIGURE_IDS, ConfigError, figure_scenarios,
                      parse_config, run_scenarios)
+from .states import CATALOG
 
 __all__ = ["main"]
 
-_STATE_SUMMARIES = (
-    ("ghz", "(|000> + |111>)/sqrt(2)"),
-    ("w", "(|100> + |010> + |001>)/sqrt(3)"),
-    ("wbar", "(|011> + |101> + |110>)/sqrt(3)"),
-    ("wwbar", "(w + wbar)/sqrt(2), all six single- and double-excitation strings"),
-    ("star", "(|000> + |100> + |101> + |111>)/2, central qubit 2"),
-    ("ghz-w", "p * ghz + (1-p) * w projector mixture"),
-    ("werner-ghz", "p * ghz + (1-p)/8 * identity"),
-    ("werner-w", "p * w + (1-p)/8 * identity"),
-)
+
+def _summary(parts) -> str:
+    """One catalog entry as a formula: a pure superposition or a p-weighted mixture."""
+    if parts[0] not in CATALOG:
+        return f"({' + '.join(f'|{bits}>' for bits in parts)})/sqrt({len(parts)})"
+    first, second = (f"|{part}><{part}|" if part in CATALOG else part for part in parts)
+    return f"p {first} + (1-p) {second}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,9 +75,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-states":
-        width = max(len(name) for name, _ in _STATE_SUMMARIES)
-        for name, summary in _STATE_SUMMARIES:
-            print(f"{name:<{width}}  {summary}")
+        width = max(len(name) for name in CATALOG)
+        for name, parts in CATALOG.items():
+            print(f"{name:<{width}}  {_summary(parts)}")
         return 0
 
     try:

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bath import BathSpec
 from .numerics import hermitian_eigenvalues
-from .states import StateSpec
 
 __all__ = [
-    "CoherenceTrace",
     "von_neumann_entropy",
     "dephase",
     "rel_entropy_coherence",
@@ -53,13 +48,3 @@ def rel_entropy_coherence(rho) -> float:
         return 0.0
     return value
 
-
-@dataclass(frozen=True)
-class CoherenceTrace:
-    """C_R sampled along a gamma0*t grid for one scenario."""
-
-    gamma0_t: np.ndarray
-    values: np.ndarray
-    state: StateSpec
-    bath: BathSpec
-    engine: str

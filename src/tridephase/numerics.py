@@ -17,13 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "PropagationError",
     "check_number",
     "check_time",
     "loggamma_re_diff",
     "digamma_im",
     "hermitian_eigenvalues",
-    "substep_counts",
     "ode_propagate",
 ]
 
@@ -31,6 +29,9 @@ _HERMITICITY_TOL = 1e-8
 
 # RK4 substeps whose amplification factors ode_propagate forms in one array
 _BLOCK = 256
+# RK4 substeps ode_propagate may take for one trace; it bounds the stage-time
+# and coefficient tables, and such a trace of the ode engine takes about 0.3 s
+_MAX_SUBSTEPS = 200_000
 
 # Stirling series: Bernoulli numbers B_2k for k = 1..7, the exponents 2k and
 # 2k - 1, and the smallest real part at which the series is applied.  At
@@ -40,14 +41,6 @@ _B2K = np.array([1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
 _2K = 2.0 * np.arange(1, 8)
 _2K1 = _2K - 1.0
 _STIRLING_MIN = 16.0
-
-
-class PropagationError(RuntimeError):
-    """ODE state stopped being finite; carries the last good time."""
-
-    def __init__(self, last_good_time: float, message: str):
-        super().__init__(message)
-        self.last_good_time = last_good_time
 
 
 def check_number(field: str, value, low: float, strict: bool = False) -> float:
@@ -159,13 +152,6 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]
 
 
-def substep_counts(spans, max_step: float | None) -> np.ndarray:
-    """RK4 substeps per grid interval, each at most ``max_step`` (one without it), as floats;
-    inf where a span over the step overflows, or at a step of 0."""
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.maximum(1.0, np.ceil(np.asarray(spans) / (math.inf if max_step is None else max_step)))
-
-
 def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | None = None, *,
                   coefficients: Callable) -> np.ndarray:
     """Integrate the elementwise-linear dy/dt = rate(c) * y with classical
@@ -179,15 +165,26 @@ def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | N
     multiplies y by a factor of its stage rates alone, so the trace forms its
     factors in blocks of _BLOCK, across intervals, and takes a running product.
 
-    Raises ValueError for a malformed grid or max_step, and PropagationError,
-    carrying the grid time before the first non-finite sample.
+    A ``max_step`` of 0 asks for infinitely many substeps.  The count is summed
+    in floating point and checked against the budget of _MAX_SUBSTEPS before
+    the int cast and the tables, so a count past 2^63 cannot wrap under it.
+
+    Raises ValueError for a malformed grid or max_step, or a trace over the
+    substep budget, and RuntimeError naming the grid time before the first
+    non-finite sample.
     """
     times = check_time(grid, grid=True)
-    if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
-        raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
+    if max_step is not None and not (max_step >= 0.0 and math.isfinite(max_step)):
+        raise ValueError(f"max_step must be finite and >= 0, got {max_step!r}")
 
     spans = np.diff(times)
-    n_sub = substep_counts(spans, max_step).astype(int)
+    # substeps per interval as floats: inf where a span over the step overflows, or at a step of 0
+    with np.errstate(over="ignore", divide="ignore"):
+        n_sub = np.maximum(1.0, np.ceil(spans / (math.inf if max_step is None else max_step)))
+    total = np.sum(n_sub)
+    if total > _MAX_SUBSTEPS:
+        raise ValueError(f"{total:.3g} RK4 substeps to reach t = {times[-1]:g}, over the budget of {_MAX_SUBSTEPS}")
+    n_sub = n_sub.astype(int)
     stop = np.cumsum(n_sub)
     h = np.repeat(spans / n_sub, n_sub)
     # t = t0 + j h with j = 0 .. n_sub - 1 within each interval
@@ -208,5 +205,5 @@ def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | N
         out[first + 1:done + 1] = ys[stop[first:done] - 1 - s]
     bad = np.flatnonzero(~np.isfinite(out.reshape(len(times), -1)).all(axis=1))
     if len(bad):
-        raise PropagationError(float(times[bad[0] - 1]), f"state became non-finite after t={times[bad[0] - 1]:g}")
+        raise RuntimeError(f"state became non-finite after t={times[bad[0] - 1]:g}")
     return out

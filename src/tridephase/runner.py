@@ -35,7 +35,6 @@ import yaml
 
 from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec
 from .dynamics import ENGINES, coherence_trace
-from .measures import CoherenceTrace
 from .numerics import check_number
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, StateSpec
 
@@ -51,7 +50,6 @@ __all__ = [
     "trace_csv_bytes",
     "run_scenarios",
     "figure_scenarios",
-    "reproduce",
 ]
 
 DEFAULT_N_POINTS = 201
@@ -228,32 +226,33 @@ def _sig9(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def trace_csv_bytes(trace: CoherenceTrace) -> bytes:
-    """Render one trace in the byte-stable CSV layout."""
+def trace_csv_bytes(scenario: ScenarioConfig, gamma0_t, values) -> bytes:
+    """Render the C_R ``values`` of one scenario on its gamma0*t grid in the byte-stable CSV layout."""
+    state, bath = scenario.state, scenario.bath
     lines = [
-        f"# state={trace.state.name}",
-        f"# p={_sig9(trace.state.p)}",
-        f"# topology={trace.bath.topology}",
-        f"# memory={trace.bath.memory}",
-        f"# eta={_sig9(trace.bath.eta)}",
-        f"# lambda={_sig9(trace.bath.lambda_cutoff)}",
-        f"# kbt={_sig9(trace.bath.kbt)}",
-        f"# engine={trace.engine}",
+        f"# state={state.name}",
+        f"# p={_sig9(state.p)}",
+        f"# topology={bath.topology}",
+        f"# memory={bath.memory}",
+        f"# eta={_sig9(bath.eta)}",
+        f"# lambda={_sig9(bath.lambda_cutoff)}",
+        f"# kbt={_sig9(bath.kbt)}",
+        f"# engine={scenario.engine}",
         "gamma0_t,C_R",
     ]
-    lines.extend(f"{_sig9(t)},{_sig9(c)}" for t, c in zip(trace.gamma0_t, trace.values))
+    lines.extend(f"{_sig9(t)},{_sig9(c)}" for t, c in zip(gamma0_t, values))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
     grid = np.linspace(0.0, scenario.t_max, scenario.n_points)
-    trace = coherence_trace(scenario.bath, scenario.state, grid, scenario.engine)
+    values = coherence_trace(scenario.bath, scenario.state, grid, scenario.engine)
     path = out_dir / scenario.output
     # render into a temp file beside the target and rename it into place, so
     # a failure never leaves a partial CSV
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(trace_csv_bytes(trace))
+        tmp.write_bytes(trace_csv_bytes(scenario, grid, values))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -296,17 +295,11 @@ def figure_scenarios(figure_id: str) -> list[ScenarioConfig]:
 
     if figure_id.startswith("fig2"):
         topology, memory = next((topo, mem) for pid, topo, mem in _PANELS if pid == figure_id[-1])
-        runs = [(StateSpec(name), topology, memory, f"{figure_id}_{name}.csv") for name in _FIG2_STATES]
+        entries = [{"state": name, "topology": topology, "memory": memory, "output": f"{figure_id}_{name}.csv"}
+                   for name in _FIG2_STATES]
     else:
         name = _FIGURE_MIXTURES[figure_id]
-        runs = [(StateSpec(name, p), topology, memory, f"{figure_id}{panel}_{name}_p{p:g}.csv")
-                for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
-    return [ScenarioConfig(state=state, bath=BathSpec(topology=topology, memory=memory),
-                           t_max=DEFAULT_T_MAX[memory], n_points=DEFAULT_N_POINTS,
-                           engine="closed_form", output=output)
-            for state, topology, memory, output in runs]
-
-
-def reproduce(figure_id: str, out_dir) -> list[RunResult]:
-    """Write the CSV bundle for one figure id into out_dir."""
-    return run_scenarios(figure_scenarios(figure_id), out_dir)
+        entries = [{"state": name, "p": p, "topology": topology, "memory": memory,
+                    "output": f"{figure_id}{panel}_{name}_p{p:g}.csv"}
+                   for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
+    return [sc for entry in entries for sc in _expand_scenario(entry, figure_id)]

@@ -15,6 +15,7 @@ import numpy as np
 from .numerics import check_number
 
 __all__ = [
+    "CATALOG",
     "PURE_STATE_NAMES",
     "MIXED_STATE_NAMES",
     "STATE_NAMES",
@@ -23,25 +24,33 @@ __all__ = [
     "residuals",
 ]
 
-PURE_STATE_NAMES = ("ghz", "w", "wbar", "wwbar", "star")
-MIXED_STATE_NAMES = ("ghz-w", "werner-ghz", "werner-w")
+# Each pure state is the equal superposition of its basis strings.  Each
+# mixture is p times the projector on its first part plus 1 - p times its
+# second part, a projector on a pure state or I/8, the maximally mixed state.
+CATALOG = {
+    "ghz": ("000", "111"),
+    "w": ("100", "010", "001"),
+    "wbar": ("011", "101", "110"),
+    "wwbar": ("100", "010", "001", "011", "101", "110"),
+    "star": ("000", "100", "101", "111"),
+    "ghz-w": ("ghz", "w"),
+    "werner-ghz": ("ghz", "I/8"),
+    "werner-w": ("w", "I/8"),
+}
+MIXED_STATE_NAMES = tuple(name for name, parts in CATALOG.items() if parts[0] in CATALOG)
+PURE_STATE_NAMES = tuple(name for name in CATALOG if name not in MIXED_STATE_NAMES)
 STATE_NAMES = PURE_STATE_NAMES + MIXED_STATE_NAMES
 
 
-def _ket(*bitstrings: str) -> np.ndarray:
+def _density(part: str) -> np.ndarray:
+    """I/8, or the projector on the equal superposition of a pure state's basis strings."""
+    if part == "I/8":
+        return np.eye(8, dtype=complex) / 8.0
     v = np.zeros(8, dtype=complex)
-    for bits in bitstrings:
+    for bits in CATALOG[part]:
         v[int(bits, 2)] = 1.0
-    return v / math.sqrt(len(bitstrings))
-
-
-_VECTORS = {
-    "ghz": _ket("000", "111"),
-    "w": _ket("100", "010", "001"),
-    "wbar": _ket("011", "101", "110"),
-    "wwbar": _ket("100", "010", "001", "011", "101", "110"),
-    "star": _ket("000", "100", "101", "111"),
-}
+    v /= math.sqrt(len(CATALOG[part]))
+    return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -59,22 +68,12 @@ class StateSpec:
             raise ValueError(f"field 'p': must lie in [0, 1], got {self.p!r}")
 
 
-def _projector(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
 def make_state(spec: StateSpec) -> np.ndarray:
-    """Density matrix (8x8 complex) for the given spec.
-
-    ghz-w mixes the two pure states with weights p and 1-p; the werner states
-    mix with (1-p)/8 of the identity.
-    """
+    """Density matrix (8x8 complex) for the given spec, built from CATALOG."""
     if spec.name in PURE_STATE_NAMES:
-        return _projector(_VECTORS[spec.name])
-    if spec.name == "ghz-w":
-        return spec.p * _projector(_VECTORS["ghz"]) + (1.0 - spec.p) * _projector(_VECTORS["w"])
-    base = "ghz" if spec.name == "werner-ghz" else "w"
-    return spec.p * _projector(_VECTORS[base]) + (1.0 - spec.p) / 8.0 * np.eye(8, dtype=complex)
+        return _density(spec.name)
+    first, second = (_density(part) for part in CATALOG[spec.name])
+    return spec.p * first + (1.0 - spec.p) * second
 
 
 def residuals(rhos) -> np.ndarray:

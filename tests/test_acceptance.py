@@ -69,9 +69,8 @@ def test_criterion_01_initial_coherences():
 
 
 def test_criterion_02_w_state_flat_in_common_markov_bath():
-    trace = coherence_trace(_bath("common", "markov"), StateSpec("w"),
-                            np.linspace(0.0, 3.0, 21))
-    dev = float(np.max(np.abs(trace.values - math.log(3.0))))
+    values = coherence_trace(_bath("common", "markov"), StateSpec("w"), np.linspace(0.0, 3.0, 21))
+    dev = float(np.max(np.abs(values - math.log(3.0))))
     assert _verdict(2, dev < 1e-9, f"w coherence constant at ln 3, max dev {dev:.2e}")
 
 
@@ -119,8 +118,8 @@ def test_criterion_08_werner_w_flat_in_common_markov_bath():
     grid = np.linspace(0.0, 3.0, 21)
     worst = 0.0
     for p in (0.1, 0.5, 0.9):
-        trace = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), grid)
-        worst = max(worst, float(np.max(np.abs(trace.values - trace.values[0]))))
+        values = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), grid)
+        worst = max(worst, float(np.max(np.abs(values - values[0]))))
     assert _verdict(8, worst < 1e-9, f"werner-w constant under common markov bath, "
                                      f"max drift {worst:.2e} over p in {{0.1, 0.5, 0.9}}")
 

@@ -244,7 +244,7 @@ def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
     bath = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, memory="non_markov")
     grid = np.linspace(0.0, 1e-300, 5)
     if error is None:
-        values = coherence_trace(bath, StateSpec("ghz"), grid, engine).values
+        values = coherence_trace(bath, StateSpec("ghz"), grid, engine)
         assert np.allclose(values, math.log(2.0), rtol=0.0, atol=1e-12)
         return
     with pytest.raises(ValueError, match=error) as info:
@@ -261,6 +261,16 @@ def test_states_lost_to_rounding_fail_naming_the_bath(engine):
         coherence_trace(BathSpec(eta=1e-30), StateSpec("star"), np.linspace(0.0, 1e-6, 5), engine)
     for field in ("eta = 1e-30", "lambda = ", "kbt = ", "t_max = 1e-06"):
         assert field in str(info.value)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_propagated_states_pass_the_bounds_of_the_measures(engine):
+    # star's rounded phases at t up to 7.8e8 leave eigenvalues near -2e-8: inside
+    # a 1e-6 output bound, but "not a state" to C_R, which allows -1e-8
+    bath = BathSpec(eta=1.0, kbt=5.7e-19, topology="local")
+    times = np.linspace(0.0, 5.6e-9, 201) / markov_rate(bath)
+    with pytest.raises(RuntimeError, match="min eigenvalue -1.852e-08"):
+        propagate_grid(bath, make_state(StateSpec("star")), times, engine)
 
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
     monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
@@ -355,24 +365,23 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
 # ------------------------------------------------------------------- traces
 
 def test_trace_w_state_is_flat():
-    trace = coherence_trace(COMMON_M, StateSpec("w"), np.linspace(0.0, 3.0, 7))
-    assert np.max(np.abs(trace.values - math.log(3.0))) < 1e-10
+    values = coherence_trace(COMMON_M, StateSpec("w"), np.linspace(0.0, 3.0, 7))
+    assert np.max(np.abs(values - math.log(3.0))) < 1e-10
 
 
 def test_trace_initial_points():
-    trace = coherence_trace(COMMON_M, StateSpec("ghz"), np.array([0.0]))
-    assert abs(trace.values[0] - math.log(2.0)) < 1e-12
-    trace = coherence_trace(LOCAL_M, StateSpec("werner-w", p=0.1), np.array([0.0]))
-    assert abs(trace.values[0] - 0.0216114649) < 1e-3
+    values = coherence_trace(COMMON_M, StateSpec("ghz"), np.array([0.0]))
+    assert abs(values[0] - math.log(2.0)) < 1e-12
+    values = coherence_trace(LOCAL_M, StateSpec("werner-w", p=0.1), np.array([0.0]))
+    assert abs(values[0] - 0.0216114649) < 1e-3
 
 
-def test_trace_carries_run_context():
+def test_trace_is_one_c_r_per_grid_point_closed_form_by_default():
     grid = np.linspace(0.0, 1.0, 3)
-    trace = coherence_trace(COMMON_M, StateSpec("ghz"), grid)
-    assert trace.engine == "closed_form"
-    assert trace.bath is COMMON_M
-    assert trace.state.name == "ghz"
-    assert np.array_equal(trace.gamma0_t, grid)
+    values = coherence_trace(COMMON_M, StateSpec("ghz"), grid)
+    assert values.shape == grid.shape
+    rhos = propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid / markov_rate(COMMON_M), "closed_form")
+    assert np.array_equal(values, [rel_entropy_coherence(rho) for rho in rhos])
 
 
 def test_trace_rejects_zero_coupling():

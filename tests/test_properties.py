@@ -49,9 +49,9 @@ scenarios = st.fixed_dictionaries({
 @given(scenarios)
 def test_trace_matches_per_sample_reference(sc):
     grid = np.linspace(0.0, sc["t_max"], sc["n_points"])
-    trace = coherence_trace(sc["bath"], sc["state"], grid)
+    values = coherence_trace(sc["bath"], sc["state"], grid)
     rhos = propagate_grid(sc["bath"], make_state(sc["state"]), grid / markov_rate(sc["bath"]))
-    assert np.array_equal(trace.values, [reference_coherence(rho) for rho in rhos])
+    assert np.array_equal(values, [reference_coherence(rho) for rho in rhos])
 
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))), axis=(1, 2))
     trace_residual = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
@@ -70,7 +70,7 @@ def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     rhos = propagate_grid(sc["bath"], rho0, times)
     assert np.array_equal(rhos.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
-    values = coherence_trace(sc["bath"], sc["state"], grid).values
+    values = coherence_trace(sc["bath"], sc["state"], grid)
     decaying = np.diff(cumulative_decoherence(sc["bath"], times)) >= 0.0
     assert np.all(np.diff(values)[decaying] <= 1e-12)
 
@@ -131,6 +131,9 @@ config_domain = st.fixed_dictionaries({
 
 
 @settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+# rounded phases leave star's min eigenvalue near -2e-8, past what C_R allows
+@example({"state": "star", "p": 1.0, "topology": "local", "memory": "markov", "eta": 1.0,
+          "lambda": 0.01, "kbt": 5.7e-19, "t_max": 5.6e-9, "n_points": 201, "engine": "closed_form"})
 @given(config_domain)
 def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
     # YAML 1.1 reads a float only with a dot and a signed exponent, as .17e writes it

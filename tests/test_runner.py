@@ -11,7 +11,7 @@ from tridephase.cli import main
 from tridephase.dynamics import coherence_trace
 from tridephase.runner import (DEFAULT_N_POINTS, FIGURE_IDS, MAX_N_POINTS, ConfigError,
                                ScenarioConfig, figure_scenarios, parse_config,
-                               reproduce, run_scenarios, trace_csv_bytes)
+                               run_scenarios, trace_csv_bytes)
 from tridephase.states import StateSpec
 
 MINIMAL = """
@@ -244,12 +244,15 @@ def test_scenario_config_names_the_bad_field(field):
 # ---------------------------------------------------------------- csv bytes
 
 def w_trace(n_points=5):
-    return coherence_trace(BathSpec(topology="common", memory="markov"), StateSpec("w"),
-                           np.linspace(0.0, 3.0, n_points))
+    """The arguments of trace_csv_bytes for a w state in the shared Markov bath."""
+    scenario = ScenarioConfig(state=StateSpec("w"), bath=BathSpec(topology="common", memory="markov"),
+                              t_max=3.0, n_points=n_points, engine="closed_form", output="w.csv")
+    grid = np.linspace(0.0, 3.0, n_points)
+    return scenario, grid, coherence_trace(scenario.bath, scenario.state, grid)
 
 
 def test_csv_layout():
-    lines = trace_csv_bytes(w_trace()).decode("ascii").split("\n")
+    lines = trace_csv_bytes(*w_trace()).decode("ascii").split("\n")
     assert lines[0] == "# state=w"
     assert lines[1] == "# p=1"
     assert lines[2] == "# topology=common"
@@ -265,7 +268,7 @@ def test_csv_layout():
 
 
 def test_csv_uses_nine_significant_digits():
-    raw = trace_csv_bytes(w_trace())
+    raw = trace_csv_bytes(*w_trace())
     assert b"1.09861229" in raw
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -274,7 +277,7 @@ def test_csv_uses_nine_significant_digits():
 
 
 def test_csv_bytes_are_deterministic():
-    assert trace_csv_bytes(w_trace()) == trace_csv_bytes(w_trace())
+    assert trace_csv_bytes(*w_trace()) == trace_csv_bytes(*w_trace())
 
 
 # ------------------------------------------------------------------ running
@@ -334,7 +337,7 @@ scenarios:
 """)
     (tmp_path / kept.output).write_bytes(b"old\n")
     if stage == "render":
-        monkeypatch.setattr(runner, "trace_csv_bytes", lambda trace: 1 / 0)
+        monkeypatch.setattr(runner, "trace_csv_bytes", lambda scenario, grid, values: 1 / 0)
     elif stage == "write":
         monkeypatch.setattr(Path, "write_bytes", _half_written)
     else:
@@ -375,7 +378,7 @@ def test_figure_catalog_rejects_unknown_id():
 
 
 def test_reproduce_writes_bundle(tmp_path):
-    results = reproduce("fig2b", tmp_path)
+    results = run_scenarios(figure_scenarios("fig2b"), tmp_path)
     assert all(r.ok for r in results)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "fig2b_ghz.csv", "fig2b_star.csv", "fig2b_w.csv", "fig2b_wwbar.csv"]
@@ -439,9 +442,15 @@ def test_cli_reproduce(tmp_path, capsys):
 
 def test_cli_list_states(capsys):
     assert main(["list-states"]) == 0
-    out = capsys.readouterr().out
-    for name in ("ghz", "w", "wbar", "wwbar", "star", "ghz-w", "werner-ghz", "werner-w"):
-        assert name in out
+    assert capsys.readouterr().out == (
+        "ghz         (|000> + |111>)/sqrt(2)\n"
+        "w           (|100> + |010> + |001>)/sqrt(3)\n"
+        "wbar        (|011> + |101> + |110>)/sqrt(3)\n"
+        "wwbar       (|100> + |010> + |001> + |011> + |101> + |110>)/sqrt(6)\n"
+        "star        (|000> + |100> + |101> + |111>)/sqrt(4)\n"
+        "ghz-w       p |ghz><ghz| + (1-p) |w><w|\n"
+        "werner-ghz  p |ghz><ghz| + (1-p) I/8\n"
+        "werner-w    p |w><w| + (1-p) I/8\n")
 
 
 def test_cli_bad_config_exits_two(tmp_path, capsys):
@@ -558,7 +567,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "fi
 def test_reproduce_matches_reference_bytes(tmp_path):
     # bench/reference/figures is the one golden copy of the 52 CSVs
     for figure_id in FIGURE_IDS:
-        assert all(r.ok for r in reproduce(figure_id, tmp_path))
+        assert all(r.ok for r in run_scenarios(figure_scenarios(figure_id), tmp_path))
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in REFERENCE.iterdir())
     assert len(written) == 52
