@@ -18,7 +18,7 @@ and the coherence trace), ``runner`` (scenario configs and CSV output) and
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
 from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
-from .measures import dephase, rel_entropy_coherence, von_neumann_entropy
+from .measures import rel_entropy_coherence, von_neumann_entropy
 from .runner import ConfigError, RunResult, ScenarioConfig, parse_config, run_scenarios, trace_csv_bytes
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
@@ -33,7 +33,7 @@ __all__ = [
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
     "propagate", "propagate_grid",
     "coherence_trace", "ENGINES", "OMEGA0",
-    "von_neumann_entropy", "dephase", "rel_entropy_coherence",
+    "von_neumann_entropy", "rel_entropy_coherence",
     "ScenarioConfig", "RunResult", "ConfigError", "parse_config",
     "run_scenarios", "trace_csv_bytes",
 ]

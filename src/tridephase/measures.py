@@ -8,7 +8,6 @@ from .numerics import hermitian_eigenvalues
 
 __all__ = [
     "von_neumann_entropy",
-    "dephase",
     "rel_entropy_coherence",
 ]
 
@@ -16,6 +15,13 @@ __all__ = [
 _EIGENVALUE_FLOOR = -1e-8
 # coherence values in [-1e-10, 0) are roundoff and report as 0
 _ROUNDOFF_FLOOR = -1e-10
+
+
+def _entropy(descending: np.ndarray) -> float:
+    """-sum x ln x over a descending spectrum clamped to [0, 1], with 0 ln 0 = 0."""
+    lam = np.clip(descending, 0.0, 1.0)
+    nonzero = lam[lam > 0.0]
+    return float(-np.sum(nonzero * np.log(nonzero)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -28,23 +34,17 @@ def von_neumann_entropy(rho) -> float:
     smallest = float(eigenvalues[-1])
     if smallest < _EIGENVALUE_FLOOR:
         raise ValueError(f"not a state: eigenvalue {smallest:.3e} below {_EIGENVALUE_FLOOR}")
-    lam = np.clip(eigenvalues, 0.0, 1.0)
-    nonzero = lam[lam > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)))
-
-
-def dephase(rho) -> np.ndarray:
-    """Project onto the computational-basis diagonal (kills every coherence)."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.diag(np.diag(rho))
+    return _entropy(eigenvalues)
 
 
 def rel_entropy_coherence(rho) -> float:
-    """Relative entropy of coherence, S(dephase(rho)) - S(rho)."""
-    value = von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
+    """Relative entropy of coherence, S(dephased rho) - S(rho).  The dephased
+    spectrum is rho's real diagonal: S(rho) validates rho first, and no
+    population of a state lies below the state's smallest eigenvalue."""
+    s = von_neumann_entropy(rho)
+    value = _entropy(np.sort(np.asarray(rho, dtype=complex).diagonal().real)[::-1]) - s
     if value < 0.0:
         if value < _ROUNDOFF_FLOOR:
             raise RuntimeError(f"coherence {value:.3e} is negative beyond roundoff; inputs are inconsistent")
         return 0.0
     return value
-

@@ -384,6 +384,20 @@ def test_trace_is_one_c_r_per_grid_point_closed_form_by_default():
     assert np.array_equal(values, [rel_entropy_coherence(rho) for rho in rhos])
 
 
+def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
+    # the dephased state's spectrum is its diagonal; only S(rho) needs eigh
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    coherence_trace(COMMON_NM, StateSpec("ghz"), np.linspace(0.0, 0.2, 201))
+    assert shapes == [(8, 8)] * 201
+
+
 def test_trace_rejects_zero_coupling():
     with pytest.raises(ValueError):
         coherence_trace(BathSpec(eta=0.0), StateSpec("ghz"), np.array([0.0, 1.0]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tridephase.measures import dephase, rel_entropy_coherence, von_neumann_entropy
+from tridephase.measures import rel_entropy_coherence, von_neumann_entropy
 from tridephase.states import StateSpec, make_state
 
 LN2 = math.log(2.0)
@@ -40,21 +40,6 @@ def test_entropy_rejects_negative_spectrum():
 def test_entropy_tolerates_roundoff_negatives():
     rho = np.diag([1.0, -1e-12, 0, 0, 0, 0, 0, 0]).astype(complex)
     assert abs(von_neumann_entropy(rho)) < 1e-10
-
-
-# ------------------------------------------------------------------ dephase
-
-def test_dephase_kills_off_diagonal():
-    rho = make_state(StateSpec("ghz"))
-    d = dephase(rho)
-    assert np.allclose(np.diag(d), np.diag(rho))
-    assert np.max(np.abs(d - np.diag(np.diag(d)))) == 0.0
-
-
-def test_dephase_is_idempotent():
-    rng = np.random.default_rng(3)
-    rho = random_density(rng)
-    assert np.allclose(dephase(dephase(rho)), dephase(rho), atol=1e-16)
 
 
 # ---------------------------------------------------------------- coherence
@@ -117,3 +102,19 @@ def test_coherence_invariant_under_diagonal_phases():
     u = np.diag(phases)
     rotated = u @ rho @ u.conj().T
     assert abs(rel_entropy_coherence(rotated) - rel_entropy_coherence(rho)) < 1e-10
+
+
+def _not_states():
+    negative = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
+    imaginary = np.eye(8, dtype=complex) / 8.0
+    imaginary[0, 0] += 1e-6j
+    nan = np.eye(8, dtype=complex) / 8.0
+    nan[0, 1] = np.nan
+    return [negative, imaginary, nan, np.eye(8)[:4] / 4.0]
+
+
+@pytest.mark.parametrize("rho", _not_states(), ids=["negative-population", "imaginary-diagonal",
+                                                   "nan-entry", "non-square"])
+def test_coherence_rejects_what_is_not_a_state(rho):
+    with pytest.raises(ValueError):
+        rel_entropy_coherence(rho)

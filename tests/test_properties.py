@@ -1,8 +1,10 @@
 """Property tests on drawn scenarios.
 
-C_R along a trace is checked against a per-sample reference, which takes
-C_R one matrix at a time, so any batched trace path must reproduce it bit
-for bit.  The two engines are checked against each other on drawn baths.
+C_R along a trace, and of single matrices, is checked against a per-sample
+reference, which takes C_R one matrix at a time with two eigensolves, so any
+faster path must reproduce it bit for bit.  The two engines are checked
+against each other on drawn baths, and both keep the diagonal of rho0 bit
+for bit.
 Every config over the whole numeric domain either runs or fails naming a
 field.
 """
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence, markov_rate
 from tridephase.dynamics import ENGINES, coherence_trace, propagate_grid
+from tridephase.measures import rel_entropy_coherence
 from tridephase.runner import ConfigError, parse_config, run_scenarios
 from tridephase.states import MIXED_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
@@ -33,6 +36,36 @@ def reference_coherence(rho):
 
     value = entropy(np.diag(np.diag(rho))) - entropy(rho)
     return 0.0 if value < 0.0 else value
+
+
+def density_with_populations(rng, populations, rank):
+    """A density matrix whose diagonal is exactly ``populations``, of rank at
+    most ``rank``: their square roots times a random correlation matrix."""
+    b = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    gram = b @ b.conj().T
+    norms = np.sqrt(np.diag(gram).real)
+    root = np.sqrt(populations)
+    rho = root[:, None] * (gram / np.outer(norms, norms)) * root[None, :]
+    np.fill_diagonal(rho, populations)
+    return rho
+
+
+def test_coherence_matches_the_two_eigensolve_reference_bit_for_bit():
+    rng = np.random.default_rng(0)
+    matrices = []
+    for _ in range(200):  # full rank
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = a @ a.conj().T
+        matrices.append(rho / np.trace(rho).real)
+    for _ in range(200):  # rank 1-7, with zero populations and tied ones (weights 1-3)
+        support = rng.integers(1, 9)
+        weights = np.zeros(8)
+        weights[rng.choice(8, support, replace=False)] = rng.integers(1, 4, size=support)
+        matrices.append(density_with_populations(rng, weights / weights.sum(), rng.integers(1, 8)))
+    for name in STATE_NAMES:
+        matrices += [make_state(StateSpec(name, k / 10)) for k in range(11)]
+    for rho in matrices:
+        assert np.array_equal(rel_entropy_coherence(rho), reference_coherence(rho))
 
 
 scenarios = st.fixed_dictionaries({
@@ -112,6 +145,8 @@ def test_engines_agree_on_drawn_baths(sc):
     closed = propagate_grid(sc["bath"], rho0, times)
     ode = propagate_grid(sc["bath"], rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < TOL
+    # the zero-rate class has a factor of exactly 1, so populations never move
+    assert np.array_equal(ode.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
 
 # eta, lambda, kbt and t_max log-uniform over [1e-300, 1e300], any state,
