@@ -7,18 +7,18 @@ spectral density with exponential cutoff.  Coherence is tracked through
 the relative entropy of coherence in the computational basis.
 
 Layered bottom-up, each module importing only modules below it: ``numerics``
-(log-gamma and digamma series, Hermitian spectrum, fixed-step integrator,
-number and time validation), ``bath`` (closed-form decoherence kernels),
-``states`` (the state catalog and its invariant residuals), ``measures``
-(entropy and coherence), ``dynamics`` (two independent propagation engines
-and the coherence trace), ``runner`` (scenario configs and CSV output) and
-``cli``.
+(log-gamma and digamma series, fixed-step integrator, number and time
+validation), ``bath`` (closed-form decoherence kernels), ``states`` (the
+state catalog and the one density-matrix check), ``measures`` (the
+relative entropy of coherence), ``dynamics`` (two independent propagation
+engines and the coherence trace), ``runner`` (scenario configs and CSV
+output) and ``cli``.
 """
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
                    cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
-from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
-from .measures import rel_entropy_coherence, von_neumann_entropy
+from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
+from .measures import rel_entropy_coherence
 from .runner import ConfigError, RunResult, ScenarioConfig, parse_config, run_scenarios, trace_csv_bytes
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
@@ -31,9 +31,8 @@ __all__ = [
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
     "StateSpec", "make_state",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
-    "propagate", "propagate_grid",
-    "coherence_trace", "ENGINES", "OMEGA0",
-    "von_neumann_entropy", "rel_entropy_coherence",
+    "propagate_grid", "coherence_trace", "ENGINES", "OMEGA0",
+    "rel_entropy_coherence",
     "ScenarioConfig", "RunResult", "ConfigError", "parse_config",
     "run_scenarios", "trace_csv_bytes",
 ]

@@ -25,12 +25,11 @@ import numpy as np
 from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from .measures import rel_entropy_coherence
 from .numerics import check_time, ode_propagate
-from .states import StateSpec, make_state, residuals
+from .states import STATE_BOUNDS, StateSpec, check_states, make_state
 
 __all__ = [
     "OMEGA0",
     "ENGINES",
-    "propagate",
     "propagate_grid",
     "coherence_trace",
 ]
@@ -53,17 +52,6 @@ _DISSIPATORS = {
                lambda rho: 1j * (_SZ @ _SZ @ rho - rho @ _SZ @ _SZ)),
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
-
-
-def _check(rhos: np.ndarray, times: np.ndarray, bounds, error: type, what: str) -> None:
-    """Raise ``error`` for the first sample whose residuals (hermiticity, trace,
-    -min eigenvalue) exceed ``bounds``."""
-    res = residuals(rhos)
-    bad = np.flatnonzero(~np.all(res <= bounds, axis=1))
-    if len(bad):
-        herm, trace, negative = res[bad[0]]
-        raise error(f"{what} at t={float(times[bad[0]]):g} violates density-matrix invariants: hermiticity "
-                    f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")
 
 
 def _finite(compute, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
@@ -152,32 +140,30 @@ def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarra
     return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0
 
 
+def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
+    """The states on a checked time grid, by the named engine, after checking
+    the engine and rho0 but not the output."""
+    if engine not in ENGINES:
+        raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
+    rho0 = np.asarray(rho0, dtype=complex)
+    check_states(rho0[None], (1e-12, 1e-12, 1e-10), ValueError, "rho0", times)
+    if engine == "closed_form":
+        return rho0 * _finite(lambda: np.exp(_exponents(bath, times)), bath, times)
+    return _ode_grid(bath, rho0, times)
+
+
 def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> np.ndarray:
     """Evolve rho0 across a strictly increasing time grid starting at 0.
 
     Returns an (n, 8, 8) array of density matrices, one per grid point.  An
     unknown engine, or a rho0 that fails the state invariants, raises ValueError;
-    an output that fails them raises RuntimeError naming the first such t.
+    an output outside STATE_BOUNDS, those of C_R, raises RuntimeError naming
+    the first such t.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     times = check_time(times, grid=True)
-    rho0 = np.asarray(rho0, dtype=complex)
-    _check(rho0[None], times, (1e-12, 1e-12, 1e-10), ValueError, "rho0")
-    if engine == "closed_form":
-        out = rho0 * _finite(lambda: np.exp(_exponents(bath, times)), bath, times)
-    else:
-        out = _ode_grid(bath, rho0, times)
-    # hermiticity and eigenvalue bounds are those of the measures, so that C_R takes every output
-    _check(out, times, (1e-8, 1e-6, 1e-8), RuntimeError, "propagated state")
+    out = _propagate(bath, rho0, times, engine)
+    check_states(out, STATE_BOUNDS, RuntimeError, "propagated state", times)
     return out
-
-
-def propagate(bath: BathSpec, rho0, t, engine: str = "closed_form") -> np.ndarray:
-    """Evolve rho0 to a single time t (absolute units of 1/omega0)."""
-    t = check_time(t)
-    grid = np.array([0.0]) if t == 0.0 else np.array([0.0, t])
-    return propagate_grid(bath, rho0, grid, engine)[-1]
 
 
 def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "closed_form") -> np.ndarray:
@@ -198,11 +184,8 @@ def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "c
         times = grid / g0
     if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
         raise ValueError(f"no finite, strictly increasing times {where} (gamma0 = 4 pi eta kbt = {g0:g})")
-    try:  # the output check; propagate_grid's ValueErrors name the bath already
-        rhos = propagate_grid(bath, make_state(state), times, engine)
-    except RuntimeError as exc:
-        raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc
-    try:  # not a state, or C_R below -1e-10
-        return np.array([rel_entropy_coherence(rho) for rho in rhos])
+    rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
+    try:  # C_R's check is the output check
+        return rel_entropy_coherence(rhos)
     except (RuntimeError, ValueError) as exc:
         raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc

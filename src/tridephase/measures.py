@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import hermitian_eigenvalues
+from .states import STATE_BOUNDS, check_states
 
 __all__ = [
-    "von_neumann_entropy",
     "rel_entropy_coherence",
 ]
 
-# eigenvalues below this are a broken state, not roundoff
-_EIGENVALUE_FLOOR = -1e-8
 # coherence values in [-1e-10, 0) are roundoff and report as 0
 _ROUNDOFF_FLOOR = -1e-10
 
@@ -24,27 +21,21 @@ def _entropy(descending: np.ndarray) -> float:
     return float(-np.sum(nonzero * np.log(nonzero)))
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum lambda ln lambda over the spectrum, with 0 ln 0 = 0.
+def rel_entropy_coherence(rho):
+    """Relative entropy of coherence, S(dephased rho) - S(rho), of one 8x8
+    density matrix (a float) or of each matrix of an (n, 8, 8) stack (an array).
 
-    Eigenvalues are clamped to [0, 1] before the log; anything below
-    -1e-8 means the input is not a state and raises.
+    The stack is checked once against STATE_BOUNDS; ValueError names its first
+    bad sample.  The dephased spectrum is rho's real diagonal, and no population
+    of a state lies below its smallest eigenvalue.  S(rho) takes one eigh per
+    matrix, whose eigenvalues the reference CSVs hold.
     """
-    eigenvalues = hermitian_eigenvalues(rho)
-    smallest = float(eigenvalues[-1])
-    if smallest < _EIGENVALUE_FLOOR:
-        raise ValueError(f"not a state: eigenvalue {smallest:.3e} below {_EIGENVALUE_FLOOR}")
-    return _entropy(eigenvalues)
-
-
-def rel_entropy_coherence(rho) -> float:
-    """Relative entropy of coherence, S(dephased rho) - S(rho).  The dephased
-    spectrum is rho's real diagonal: S(rho) validates rho first, and no
-    population of a state lies below the state's smallest eigenvalue."""
-    s = von_neumann_entropy(rho)
-    value = _entropy(np.sort(np.asarray(rho, dtype=complex).diagonal().real)[::-1]) - s
-    if value < 0.0:
-        if value < _ROUNDOFF_FLOOR:
-            raise RuntimeError(f"coherence {value:.3e} is negative beyond roundoff; inputs are inconsistent")
-        return 0.0
-    return value
+    rhos = np.asarray(rho, dtype=complex)
+    stack = rhos[None] if rhos.ndim == 2 else rhos
+    check_states(stack, STATE_BOUNDS, ValueError, "sample")
+    values = np.array([_entropy(np.sort(h.diagonal().real)[::-1])
+                       - _entropy(np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]) for h in stack])
+    if np.any(values < _ROUNDOFF_FLOOR):
+        raise RuntimeError(f"coherence {values.min():.3e} is negative beyond roundoff; inputs are inconsistent")
+    values = np.where(values < 0.0, 0.0, values)
+    return float(values[0]) if rhos.ndim == 2 else values

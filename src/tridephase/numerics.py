@@ -1,11 +1,11 @@
 """Self-contained numerical primitives.
 
 Closed-form special functions for complex arguments (the real part of a
-log-gamma ratio and the imaginary part of the digamma function), the
-eigenvalues of a Hermitian matrix, a fixed-step classical Runge-Kutta
-integrator for elementwise-linear equations that takes its time-dependent
-coefficients as one table and the substeps of a trace as one running
-product, and the validators for config numbers, times and time grids.
+log-gamma ratio and the imaginary part of the digamma function), a
+fixed-step classical Runge-Kutta integrator for elementwise-linear
+equations that takes its time-dependent coefficients as one table and the
+substeps of a trace as one running product, and the validators for config
+numbers, times and time grids.
 Nothing here knows about baths or qubits.
 """
 
@@ -21,11 +21,8 @@ __all__ = [
     "check_time",
     "loggamma_re_diff",
     "digamma_im",
-    "hermitian_eigenvalues",
     "ode_propagate",
 ]
-
-_HERMITICITY_TOL = 1e-8
 
 # RK4 substeps whose amplification factors ode_propagate forms in one array
 _BLOCK = 256
@@ -132,24 +129,6 @@ def digamma_im(c: float, y):
     series = _B2K / _2K * r2[..., None] ** (-0.5 * _2K) * np.sin(_2K * theta[..., None])
     shifted = y[..., None] / (shifts ** 2 + (y * y)[..., None])
     return theta + y / (2.0 * r2) + series.sum(axis=-1) + shifted.sum(axis=-1)
-
-
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    The input is symmetrized to (H + H^dagger)/2 before factorization; inputs
-    further than 1e-8 from Hermitian are rejected.
-    """
-    h = np.asarray(matrix, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {h.shape}")
-    residual = float(np.max(np.abs(h - h.conj().T)))
-    if not math.isfinite(residual):
-        raise ValueError("matrix contains non-finite entries")
-    if residual > _HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {residual:.3e}")
-    # eigh, not eigvalsh: the reference CSVs hold C_R from eigh's eigenvalues
-    return np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]
 
 
 def ode_propagate(rate: Callable, y0, grid: Sequence[float], max_step: float | None = None, *,

@@ -1,4 +1,4 @@
-"""The named initial states of the three-qubit register, and the invariant check.
+"""The named initial states of the three-qubit register, and the one density-matrix check.
 
 Basis convention used everywhere in this package: basis index m is the
 bitstring q1 q2 q3 with qubit 1 as the most significant bit, so
@@ -21,7 +21,9 @@ __all__ = [
     "STATE_NAMES",
     "StateSpec",
     "make_state",
+    "STATE_BOUNDS",
     "residuals",
+    "check_states",
 ]
 
 # Each pure state is the equal superposition of its basis strings.  Each
@@ -40,6 +42,10 @@ CATALOG = {
 MIXED_STATE_NAMES = tuple(name for name, parts in CATALOG.items() if parts[0] in CATALOG)
 PURE_STATE_NAMES = tuple(name for name in CATALOG if name not in MIXED_STATE_NAMES)
 STATE_NAMES = PURE_STATE_NAMES + MIXED_STATE_NAMES
+
+# the measures' bounds on the residuals (hermiticity, trace, -min eigenvalue):
+# C_R holds its input to them, and propagate_grid its output
+STATE_BOUNDS = (1e-8, 1e-6, 1e-8)
 
 
 def _density(part: str) -> np.ndarray:
@@ -96,3 +102,15 @@ def residuals(rhos) -> np.ndarray:
                     -np.linalg.eigvalsh(adjoint)[:, 0] / 2.0], axis=1)
     out[~finite] = np.inf
     return out
+
+
+def check_states(rhos, bounds, error: type, what: str, times=None) -> None:
+    """Raise ``error`` for the first matrix of an (n, 8, 8) stack whose residuals
+    exceed ``bounds``, named "<what> at t=<time>" with ``times``, else "<what> <index>"."""
+    res = residuals(rhos)
+    bad = np.flatnonzero(~np.all(res <= bounds, axis=1))
+    if len(bad):
+        herm, trace, negative = res[bad[0]]
+        name = f"{what} at t={float(times[bad[0]]):g}" if times is not None else f"{what} {bad[0]}"
+        raise error(f"{name} violates density-matrix invariants: hermiticity "
+                    f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")

@@ -11,7 +11,7 @@ import pytest
 
 from tridephase.bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
 from tridephase import dynamics
-from tridephase.dynamics import coherence_trace, propagate, propagate_grid
+from tridephase.dynamics import coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import StateSpec, make_state, residuals
 
@@ -75,7 +75,7 @@ def test_criterion_02_w_state_flat_in_common_markov_bath():
 
 
 def test_criterion_03_wwbar_saturates_at_ln3():
-    rho = propagate(_bath("common", "markov"), make_state(StateSpec("wwbar")), 5.0 / G0)
+    rho = propagate_grid(_bath("common", "markov"), make_state(StateSpec("wwbar")), [0.0, 5.0 / G0])[-1]
     value = rel_entropy_coherence(rho)
     dev = abs(value - math.log(3.0))
     assert _verdict(3, dev < 1e-3,
@@ -85,14 +85,14 @@ def test_criterion_03_wwbar_saturates_at_ln3():
 def test_criterion_04_ghz_common_markov_decay():
     spec = _bath("common", "markov")
     rho0 = make_state(StateSpec("ghz"))
-    early = rel_entropy_coherence(propagate(spec, rho0, 0.1 / G0))
-    late = rel_entropy_coherence(propagate(spec, rho0, 0.3 / G0))
+    early = rel_entropy_coherence(propagate_grid(spec, rho0, [0.0, 0.1 / G0])[-1])
+    late = rel_entropy_coherence(propagate_grid(spec, rho0, [0.0, 0.3 / G0])[-1])
     ok = abs(early - 0.0137) < 1e-3 and late < 1e-4
     assert _verdict(4, ok, f"ghz common decay C_R(0.1) = {early:.6f}, C_R(0.3) = {late:.2e}")
 
 
 def test_criterion_05_ghz_local_markov_decay():
-    rho = propagate(_bath("local", "markov"), make_state(StateSpec("ghz")), 0.5 / G0)
+    rho = propagate_grid(_bath("local", "markov"), make_state(StateSpec("ghz")), [0.0, 0.5 / G0])[-1]
     value = rel_entropy_coherence(rho)
     ok = abs(value - 1.24e-3) <= 0.1 * 1.24e-3
     assert _verdict(5, ok, f"ghz local decay C_R(0.5) = {value:.4e}, target 1.24e-03 +- 10%")
@@ -125,7 +125,8 @@ def test_criterion_08_werner_w_flat_in_common_markov_bath():
 
 
 def test_criterion_09_werner_w_local_markov_decay():
-    rho = propagate(_bath("local", "markov"), make_state(StateSpec("werner-w", p=0.5)), 0.5 / G0)
+    rho0 = make_state(StateSpec("werner-w", p=0.5))
+    rho = propagate_grid(_bath("local", "markov"), rho0, [0.0, 0.5 / G0])[-1]
     value = rel_entropy_coherence(rho)
     assert _verdict(9, value < 0.02, f"werner-w local decay C_R(0.5) = {value:.4e} < 0.02")
 

@@ -7,7 +7,7 @@ import pytest
 from tridephase import dynamics
 from tridephase.bath import (MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence,
                              lamb_kernel, markov_rate)
-from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate, propagate_grid
+from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
@@ -111,26 +111,26 @@ def test_propagate_identity_at_zero_time():
     rho0 = make_state(StateSpec("star"))
     for spec, engine in ((COMMON_M, "closed_form"), (LOCAL_NM, "closed_form"), (COMMON_M, "ode"),
                          (LOCAL_NM, "ode")):
-        assert np.max(np.abs(propagate(spec, rho0, 0.0, engine) - rho0)) < 1e-15
+        assert np.max(np.abs(propagate_grid(spec, rho0, [0.0], engine)[-1] - rho0)) < 1e-15
 
 
 def test_w_state_frozen_under_common_bath():
     # all three components carry weight +1, so every pair is frozen
     rho0 = make_state(StateSpec("w"))
     for spec in (COMMON_M, COMMON_NM):
-        rho = propagate(spec, rho0, 5.0)
+        rho = propagate_grid(spec, rho0, [0.0, 5.0])[-1]
         assert np.max(np.abs(rho - rho0)) < 1e-12
 
 
 def test_w_state_frozen_under_common_bath_ode():
     rho0 = make_state(StateSpec("w"))
-    rho = propagate(COMMON_M, rho0, 5.0, "ode")
+    rho = propagate_grid(COMMON_M, rho0, [0.0, 5.0], "ode")[-1]
     assert np.max(np.abs(rho - rho0)) < 1e-8
 
 
 def test_ghz_extreme_coherence_decay():
     # |rho_07| = 0.5 exp(-18 g0 t); at g0 t = 0.1 that is 0.5 exp(-1.8)
-    rho = propagate(COMMON_M, make_state(StateSpec("ghz")), 0.1 / G0)
+    rho = propagate_grid(COMMON_M, make_state(StateSpec("ghz")), [0.0, 0.1 / G0])[-1]
     assert abs(abs(rho[0, 7]) - 0.08264944411079325) < 1e-14
     assert abs(rel_entropy_coherence(rho) - 0.013724766816962441) < 1e-12
 
@@ -139,8 +139,8 @@ def test_diagonal_states_are_stationary():
     rng = np.random.default_rng(5)
     w = rng.uniform(0.1, 1.0, size=8)
     rho0 = np.diag(w / w.sum()).astype(complex)
-    assert np.max(np.abs(propagate(COMMON_M, rho0, 7.0) - rho0)) == 0.0
-    assert np.max(np.abs(propagate(LOCAL_M, rho0, 7.0, "ode") - rho0)) < 1e-8
+    assert np.max(np.abs(propagate_grid(COMMON_M, rho0, [0.0, 7.0])[-1] - rho0)) == 0.0
+    assert np.max(np.abs(propagate_grid(LOCAL_M, rho0, [0.0, 7.0], "ode")[-1] - rho0)) < 1e-8
 
 
 def test_coherence_envelope_decreases_markov():
@@ -154,7 +154,7 @@ def test_coherence_envelope_decreases_markov():
 def test_lamb_phase_changes_elements_not_magnitudes():
     rho0 = make_state(StateSpec("star"))
     t = 2.0
-    rho_with = propagate(COMMON_NM, rho0, t)
+    rho_with = propagate_grid(COMMON_NM, rho0, [0.0, t])[-1]
     # take the Lamb phase exp(i M(t) (Z_m^2 - Z_n^2)) off each element
     _, big_m = lamb_kernel(COMMON_NM, t)
     z = dynamics._Z
@@ -192,8 +192,8 @@ def test_engines_agree_without_coupling(topology, memory):
     # eta = 0 leaves only the free phase; no decay rate bounds the ODE step
     bath = BathSpec(eta=0.0, topology=topology, memory=memory)
     rho0 = make_state(StateSpec("ghz"))
-    closed = propagate(bath, rho0, 5.0)
-    ode = propagate(bath, rho0, 5.0, "ode")
+    closed = propagate_grid(bath, rho0, [0.0, 5.0])[-1]
+    ode = propagate_grid(bath, rho0, [0.0, 5.0], "ode")[-1]
     assert np.max(np.abs(closed - ode)) < 1e-12
     assert abs(ode[0, 7]) == pytest.approx(0.5)
 
@@ -275,7 +275,7 @@ def test_propagated_states_pass_the_bounds_of_the_measures(engine):
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
     monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
     with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):
-        propagate(BathSpec(), make_state(StateSpec("ghz")), 2.0, "ode")
+        propagate_grid(BathSpec(), make_state(StateSpec("ghz")), [0.0, 2.0], "ode")
 
 
 def test_ode_peak_memory_is_bounded_by_blocks():
@@ -283,7 +283,7 @@ def test_ode_peak_memory_is_bounded_by_blocks():
     rho0 = make_state(StateSpec("ghz"))
     tracemalloc.start()
     try:
-        propagate(BathSpec(), rho0, 80.0, "ode")
+        propagate_grid(BathSpec(), rho0, [0.0, 80.0], "ode")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,21 +381,28 @@ def test_trace_is_one_c_r_per_grid_point_closed_form_by_default():
     values = coherence_trace(COMMON_M, StateSpec("ghz"), grid)
     assert values.shape == grid.shape
     rhos = propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid / markov_rate(COMMON_M), "closed_form")
+    # C_R of the stack is the per-matrix C_R, bit for bit
+    assert np.array_equal(values, rel_entropy_coherence(rhos))
     assert np.array_equal(values, [rel_entropy_coherence(rho) for rho in rhos])
 
 
 def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
-    # the dephased state's spectrum is its diagonal; only S(rho) needs eigh
-    shapes = []
-    eigh = np.linalg.eigh
+    # the dephased state's spectrum is its diagonal; only S(rho) needs eigh.
+    # The stacks are checked once each: rho0, then the output as C_R's input
+    shapes = {"eigh": [], "eigvalsh": []}
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        solve = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def counted(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return solve(a, *args, **kwargs)
+        return counted
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     coherence_trace(COMMON_NM, StateSpec("ghz"), np.linspace(0.0, 0.2, 201))
-    assert shapes == [(8, 8)] * 201
+    assert shapes == {"eigh": [(8, 8)] * 201, "eigvalsh": [(1, 8, 8), (201, 8, 8)]}
 
 
 def test_trace_rejects_zero_coupling():
@@ -413,14 +420,14 @@ def test_propagate_grid_rejects_unknown_engine():
 
 def test_propagate_rejects_invalid_state():
     with pytest.raises(ValueError):
-        propagate(COMMON_M, 2.0 * make_state(StateSpec("ghz")), 1.0)
+        propagate_grid(COMMON_M, 2.0 * make_state(StateSpec("ghz")), [0.0, 1.0])
     with pytest.raises(ValueError):
-        propagate(COMMON_M, np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]), 1.0)
+        propagate_grid(COMMON_M, np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]), [0.0, 1.0])
 
 
 def test_propagate_rejects_negative_time():
-    with pytest.raises(ValueError):
-        propagate(COMMON_M, make_state(StateSpec("ghz")), -1.0)
+    with pytest.raises(ValueError, match="-1.0"):
+        propagate_grid(COMMON_M, make_state(StateSpec("ghz")), [0.0, -1.0])
 
 
 @pytest.mark.parametrize("grid", [[], [0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tridephase.measures import rel_entropy_coherence, von_neumann_entropy
-from tridephase.states import StateSpec, make_state
+from tridephase.measures import rel_entropy_coherence
+from tridephase.states import CATALOG, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -17,29 +17,40 @@ def random_density(rng, dim=8):
 
 
 # ------------------------------------------------------------------ entropy
+# S(rho), seen through C_R = S(dephased rho) - S(rho)
 
 def test_entropy_of_pure_state_is_zero():
-    assert abs(von_neumann_entropy(make_state(StateSpec("ghz")))) < 1e-12
+    # each pure catalog state spreads its population evenly over its support,
+    # so with S = 0 its C_R is the log of the support size
+    stack = np.stack([make_state(StateSpec(name)) for name in PURE_STATE_NAMES])
+    support = [len(CATALOG[name]) for name in PURE_STATE_NAMES]
+    assert np.max(np.abs(rel_entropy_coherence(stack) - np.log(support))) < 1e-12
 
 
 def test_entropy_of_maximally_mixed():
-    assert abs(von_neumann_entropy(np.eye(8) / 8.0) - 3.0 * LN2) < 1e-13
+    # |+><+| on qubit 1 times I/4: S = 2 ln 2 from four eigenvalues 1/4, while
+    # the populations are all 1/8
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    assert abs(rel_entropy_coherence(np.kron(plus, np.eye(4) / 4.0)) - LN2) < 1e-12
 
 
 def test_entropy_of_werner_w_mixture():
-    # spectrum {0.5625, 0.0625 x7} gives 1.5366498974881577
-    s = von_neumann_entropy(make_state(StateSpec("werner-w", p=0.5)))
-    assert abs(s - 1.5366498974881577) < 1e-12
+    # spectrum {0.5625, 0.0625 x7} gives S = 1.5366498974881577; the
+    # populations are 11/48 three times and 1/16 five times
+    dephased = -3.0 * (11.0 / 48.0) * math.log(11.0 / 48.0) - (5.0 / 16.0) * math.log(1.0 / 16.0)
+    value = rel_entropy_coherence(make_state(StateSpec("werner-w", p=0.5)))
+    assert abs(value - (dephased - 1.5366498974881577)) < 1e-12
 
 
 def test_entropy_rejects_negative_spectrum():
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex))
+    with pytest.raises(ValueError, match="min eigenvalue -1.000e-01"):
+        rel_entropy_coherence(np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex))
 
 
 def test_entropy_tolerates_roundoff_negatives():
-    rho = np.diag([1.0, -1e-12, 0, 0, 0, 0, 0, 0]).astype(complex)
-    assert abs(von_neumann_entropy(rho)) < 1e-10
+    rho = make_state(StateSpec("ghz"))
+    rho[1, 1], rho[2, 2] = -1e-12, 1e-12
+    assert abs(rel_entropy_coherence(rho) - LN2) < 1e-10
 
 
 # ---------------------------------------------------------------- coherence
@@ -110,11 +121,21 @@ def _not_states():
     imaginary[0, 0] += 1e-6j
     nan = np.eye(8, dtype=complex) / 8.0
     nan[0, 1] = np.nan
-    return [negative, imaginary, nan, np.eye(8)[:4] / 4.0]
+    ghz, w = make_state(StateSpec("ghz")), make_state(StateSpec("w"))
+    return [negative, imaginary, nan, np.eye(8)[:4] / 4.0, 2.0 * ghz, 3.0 * w, 0.5 * w]
 
 
 @pytest.mark.parametrize("rho", _not_states(), ids=["negative-population", "imaginary-diagonal",
-                                                   "nan-entry", "non-square"])
+                                                   "nan-entry", "non-square", "trace-2-ghz",
+                                                   "trace-3-w", "trace-half-w"])
 def test_coherence_rejects_what_is_not_a_state(rho):
     with pytest.raises(ValueError):
         rel_entropy_coherence(rho)
+
+
+def test_coherence_names_the_first_bad_sample_of_a_stack():
+    stack = np.stack([make_state(StateSpec(name)) for name in STATE_NAMES])
+    stack[3] *= 2.0
+    stack[5, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="sample 3 violates density-matrix invariants: .* trace residual 1.000e"):
+        rel_entropy_coherence(stack)

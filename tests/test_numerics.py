@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tridephase.numerics import check_time, digamma_im, hermitian_eigenvalues, loggamma_re_diff, ode_propagate
+from tridephase.measures import rel_entropy_coherence
+from tridephase.numerics import check_time, digamma_im, loggamma_re_diff, ode_propagate
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -75,43 +76,61 @@ def test_check_time_names_the_offending_value(times, grid, named):
 
 
 # ------------------------------------------------------------ eigensolver
+# numerics keeps no eigensolver: C_R's eigh of (rho + rho^dag)/2 is the
+# package's spectrum, seen here through C_R = S(dephased rho) - S(rho)
 
 def test_eigendecomposition_maximally_mixed():
-    assert np.allclose(hermitian_eigenvalues(np.eye(8) / 8.0), 0.125, atol=1e-14)
+    assert rel_entropy_coherence(np.eye(8) / 8.0) == 0.0
 
 
 def test_eigendecomposition_descending_order():
-    lam = hermitian_eigenvalues(np.diag(np.arange(1.0, 9.0)))
-    assert np.allclose(lam, np.arange(8.0, 0.0, -1.0), atol=1e-14)
+    # the entropy sums the spectrum largest first, the order the reference CSVs
+    # hold; with five nonzero terms numpy sums left to right, and at this seed
+    # the ascending sum differs in the last bit
+    def entropy(spectrum):
+        positive = spectrum[spectrum > 0.0]
+        return -np.sum(positive * np.log(positive))
+
+    rng = np.random.default_rng(2)
+    a = np.zeros((8, 8), complex)
+    a[:5, :5] = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    populations, spectrum = np.sort(np.diag(rho).real), np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+    descending = entropy(populations[::-1]) - entropy(spectrum[::-1])
+    assert descending != entropy(populations) - entropy(spectrum)
+    assert rel_entropy_coherence(rho) == descending
 
 
 def test_eigendecomposition_rank_one_projector():
-    vec = np.zeros(8, dtype=complex)
-    vec[0] = vec[7] = 1.0 / np.sqrt(2.0)
-    lam = hermitian_eigenvalues(np.outer(vec, vec.conj()))
-    assert abs(lam[0] - 1.0) < 1e-12
-    assert np.all(np.abs(lam[1:]) < 1e-12)
+    # S vanishes on a pure state, so C_R is the entropy of its populations
+    vec = np.random.default_rng(13).normal(size=8) + 1j * np.random.default_rng(14).normal(size=8)
+    vec /= np.linalg.norm(vec)
+    populations = np.abs(vec) ** 2
+    expected = -np.sum(populations * np.log(populations))
+    assert abs(rel_entropy_coherence(np.outer(vec, vec.conj())) - expected) < 1e-12
 
 
 def test_eigendecomposition_spectrum_is_basis_independent():
+    # a permutation with phases keeps both the spectrum and the set of populations
     rng = np.random.default_rng(7)
-    h = rng.normal(size=(6, 6))
-    h = h + h.T
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    rotated = q @ h @ q.conj().T
-    assert np.max(np.abs(hermitian_eigenvalues(h) - hermitian_eigenvalues(rotated))) < 1e-9
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    u = np.eye(8)[rng.permutation(8)] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=8))
+    assert abs(rel_entropy_coherence(u @ rho @ u.conj().T) - rel_entropy_coherence(rho)) < 1e-12
 
 
 def test_eigendecomposition_rejects_non_hermitian():
-    m = np.zeros((4, 4))
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(m)
+    m = np.eye(8, dtype=complex) / 8.0
+    m[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="hermiticity 1.000e-03"):
+        rel_entropy_coherence(m)
 
 
 def test_eigendecomposition_rejects_non_square():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"shape \(2, 8, 4\)"):
+        rel_entropy_coherence(np.zeros((2, 8, 4)))
 
 
 # -------------------------------------------------------------- integrator

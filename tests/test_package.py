@@ -30,3 +30,14 @@ def test_each_module_imports_only_modules_below_it(layer):
 
 def test_layer_order_covers_every_module():
     assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def test_each_spectral_job_has_one_call_site():
+    # C_R's entropy owns eigh, and the density-matrix check owns eigvalsh
+    callers = {"eigh": [], "eigvalsh": []}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+            if name in callers:
+                callers[name].append(path.stem)
+    assert callers == {"eigh": ["measures"], "eigvalsh": ["states"]}

@@ -6,7 +6,7 @@ faster path must reproduce it bit for bit.  The two engines are checked
 against each other on drawn baths, and both keep the diagonal of rho0 bit
 for bit.
 Every config over the whole numeric domain either runs or fails naming a
-field.
+field, and a failing property prints its falsifying example.
 """
 
 import math
@@ -23,7 +23,10 @@ from tridephase.measures import rel_entropy_coherence
 from tridephase.runner import ConfigError, parse_config, run_scenarios
 from tridephase.states import MIXED_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
+pytest_plugins = ["pytester"]
+
 TOL = 1e-6
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def reference_coherence(rho):
@@ -189,3 +192,22 @@ def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
         else:
             assert isinstance(error, ValueError), repr(error)
             assert any(name in str(error) for name in ("eta", "lambda", "kbt", "t_max", "n_points")), repr(error)
+
+
+def test_a_failing_property_shows_its_example(pytester, capsys):
+    # under this project's warning filters, a failing @given test must print its
+    # falsifying example, not crash the report
+    pytester.makepyfile(test_fails="""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_below_five(x):
+            assert x < 5
+    """)
+    result = pytester.runpytest_subprocess("-c", str(PYPROJECT), "--rootdir", str(pytester.path),
+                                           "-p", "no:cacheprovider", "test_fails.py")
+    output = result.stdout.str() + result.stderr.str()
+    capsys.readouterr()  # pytester echoes the inner run; the assertion shows it on failure
+    assert "Falsifying example" in output and "INTERNALERROR" not in output, output
+    result.assert_outcomes(failed=1)
