@@ -10,12 +10,13 @@ the elementwise solution
                                         - (Z_m - Z_n)^2 / 2 * Gamma(t))
 
 while "ode" integrates the dissipator of the master equation with
-fixed-step RK4, one scalar equation per distinct elementwise rate read off
-its operator form, in the frame that rotates with the free phase
-exp(-i w0/2 (Z_m - Z_n) t); that phase is multiplied back in exactly on
-output and drops out of every coherence measure.  The two routes are kept
-independent so each one checks the other.  Z_m is the collective sigma_z
-eigenvalue of basis index m.
+fixed-step RK4 in the frame that rotates with the free phase
+exp(-i w0/2 (Z_m - Z_n) t), one scalar equation per class of equal
+elementwise rates; that phase is multiplied back in exactly on output and
+drops out of every coherence measure.  Each engine builds its own topology
+table once, at import, the ode's off the dissipator's operator form, so
+each one checks the other.  Z_m is the collective sigma_z eigenvalue of
+basis index m.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ _DISSIPATORS = {
                lambda rho: 1j * (_SZ @ _SZ @ rho - rho @ _SZ @ _SZ)),
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
+# the ode engine's table of (W_g, W_mu) classes: a Schur multiplier's weights are its image of ones
+_RATE_CLASSES = {topology: np.unique(np.stack([apply(np.ones((8, 8))) for apply in maps]).reshape(2, 64),
+                                     axis=1, return_inverse=True) for topology, maps in _DISSIPATORS.items()}
+# the closed form's table: the weight of Gamma(t) (2 per flipped bit with local baths) and of M(t)
+_DECAY = {"common": _DZ.astype(float) ** 2 / 2.0,
+          "local": 2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)}
+_ZSQ = _Z[:, None] ** 2 - _Z[None, :] ** 2
 
 
 def _finite(compute, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
@@ -73,47 +81,32 @@ def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """
     t = times[:, None, None]
     big_gamma = cumulative_decoherence(bspec, times)[:, None, None]
-    expo = (-0.5j * OMEGA0 * t) * _DZ
+    expo = (-0.5j * OMEGA0 * t) * _DZ - _DECAY[bspec.topology] * big_gamma
     if bspec.topology == "common":
-        expo = expo - (_DZ.astype(float) ** 2 / 2.0) * big_gamma
-        big_m = lamb_kernel(bspec, times)[1][:, None, None]
-        zsq = _Z[:, None] ** 2 - _Z[None, :] ** 2
-        expo = expo + (1j * big_m) * zsq
-    else:
-        # 2 Gamma per qubit whose bit differs
-        expo = expo - (2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)) * big_gamma
+        expo = expo + (1j * lamb_kernel(bspec, times)[1][:, None, None]) * _ZSQ
     return expo
 
 
 def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
     """RK4 step: at most the grid spacing, with memory 0.1/lambda (the
-    kernels' nearest complex-time pole lies 1/lambda off the real axis), and
-    1e-2 over the fastest elementwise rate, 18 gamma in the shared bath (its
-    Lamb rate is 8 mu) or 6 gamma with local baths.  With memory gamma(t)
-    peaks and mu(t) levels off near eta * lambda, above gamma0 if kbt << lambda."""
+    kernels' nearest complex-time pole lies 1/lambda off the real axis), and 1e-2
+    over the fastest elementwise rate, the largest rate-class weight times gamma:
+    18 gamma in the shared bath (its Lamb rate is 8 mu), 6 with local baths.  With
+    memory gamma(t) peaks and mu(t) levels off near eta * lambda, above gamma0 if kbt << lambda."""
     steps = [float(np.min(np.diff(times)))] if len(times) > 1 else []
     rate = markov_rate(bspec)
     if bspec.memory == "non_markov":
         rate = max(rate, bspec.eta * bspec.lambda_cutoff)
         steps.append(0.1 / bspec.lambda_cutoff)
     if rate > 0.0:
-        steps.append(1e-2 / ((18.0 if bspec.topology == "common" else 6.0) * rate))
+        steps.append(1e-2 / (np.abs(_RATE_CLASSES[bspec.topology][0]).max() * rate))
     return min(steps, default=None)
-
-
-def _schur_weights(maps) -> np.ndarray:
-    """Each map applied to the 64 basis matrices E_mn: the factor it puts on
-    rho_mn, shape (len(maps), 8, 8).  RuntimeError if a map mixes elements."""
-    superops = np.stack([apply(np.eye(64).reshape(64, 8, 8)) for apply in maps]).reshape(-1, 64, 64)
-    if np.any(superops * (1.0 - np.eye(64))):
-        raise RuntimeError("dissipator mixes matrix elements: it is not a Schur multiplier")
-    return superops[:, range(64), range(64)].reshape(-1, 8, 8)
 
 
 def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Integrate the dissipator in the frame rotating with the free phase,
     then multiply that phase back in exactly.  Elements with the same rate
-    gamma(t) W_g + mu(t) W_mu (weights off _DISSIPATORS) share one equation."""
+    gamma(t) W_g + mu(t) W_mu (a class of _RATE_CLASSES) share one equation."""
     kernels_called = []
 
     def coefficients(t: np.ndarray) -> np.ndarray:
@@ -121,8 +114,7 @@ def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarra
         return _finite(lambda: np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1),
                        bspec, times)
 
-    weights = _schur_weights(_DISSIPATORS[bspec.topology]).reshape(2, 64)
-    classes, inverse = np.unique(weights, axis=1, return_inverse=True)
+    classes, inverse = _RATE_CLASSES[bspec.topology]
     try:  # one 2-d matmul per block, about 4x faster than a stacked (m, 3, 2) @ (2, k)
         factors = ode_propagate(lambda c: (c.reshape(-1, 2) @ classes).reshape(c.shape[:-1] + (-1,)),
                                 np.ones(len(classes[0]), complex), times,
@@ -135,18 +127,14 @@ def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarra
         raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}{lam}; "
                          f"raise eta, shorten t_max or use engine closed_form") from exc
     phases = _finite(lambda: -0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)
-    rhos = rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(phases)
-    # re-symmetrize each emitted sample; RK4 drift is below 1e-10 but not zero
-    return (rhos + np.conj(np.swapaxes(rhos, 1, 2))) / 2.0
+    return rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(phases)
 
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
-    """The states on a checked time grid, by the named engine, after checking
-    the engine and rho0 but not the output."""
+    """The states from a complex 8x8 rho0 on a checked time grid, by the named
+    engine, after checking the engine but neither rho0 nor the output."""
     if engine not in ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_states(rho0[None], (1e-12, 1e-12, 1e-10), ValueError, "rho0", times)
     if engine == "closed_form":
         return rho0 * _finite(lambda: np.exp(_exponents(bath, times)), bath, times)
     return _ode_grid(bath, rho0, times)
@@ -161,6 +149,10 @@ def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> 
     the first such t.
     """
     times = check_time(times, grid=True)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (8, 8):
+        raise ValueError(f"rho0: expected an 8x8 matrix, got shape {rho0.shape}")
+    check_states(rho0[None], (1e-12, 1e-12, 1e-10), ValueError, "rho0", times)
     out = _propagate(bath, rho0, times, engine)
     check_states(out, STATE_BOUNDS, RuntimeError, "propagated state", times)
     return out
@@ -185,7 +177,7 @@ def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "c
     if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
         raise ValueError(f"no finite, strictly increasing times {where} (gamma0 = 4 pi eta kbt = {g0:g})")
     rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
-    try:  # C_R's check is the output check
+    try:  # C_R's check is the output check, and the check of the catalog's rho0 (sample 0)
         return rel_entropy_coherence(rhos)
     except (RuntimeError, ValueError) as exc:
         raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc

@@ -31,7 +31,9 @@ def rel_entropy_coherence(rho):
     matrix, whose eigenvalues the reference CSVs hold.
     """
     rhos = np.asarray(rho, dtype=complex)
-    stack = rhos[None] if rhos.ndim == 2 else rhos
+    if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 matrix or an (n, 8, 8) stack, got shape {rhos.shape}")
+    stack = rhos.reshape(-1, 8, 8)
     check_states(stack, STATE_BOUNDS, ValueError, "sample")
     values = np.array([_entropy(np.sort(h.diagonal().real)[::-1])
                        - _entropy(np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]) for h in stack])

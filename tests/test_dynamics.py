@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -290,26 +291,58 @@ def test_ode_peak_memory_is_bounded_by_blocks():
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_dissipator_weights_are_read_off_the_operator_form(topology):
-    weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
-    assert weights.shape == (2, 8, 8)
+def element_weights(topology):
+    """The weights (W_g, W_mu) of gamma(t) and mu(t) on each rho_mn, shape (2, 8, 8)."""
     z = dynamics._Z
     if topology == "common":
-        expected_g = -((z[:, None] - z[None, :]) ** 2) / 2.0
-        expected_mu = 1j * (z[:, None] ** 2 - z[None, :] ** 2)
-    else:
-        flipped = [bin(m ^ n).count("1") for m in range(8) for n in range(8)]
-        expected_g = -2.0 * np.reshape(flipped, (8, 8))
-        expected_mu = np.zeros((8, 8))
-    assert np.array_equal(weights[0], expected_g)
-    assert np.array_equal(weights[1], expected_mu)
+        return np.stack([-((z[:, None] - z[None, :]) ** 2) / 2.0, 1j * (z[:, None] ** 2 - z[None, :] ** 2)])
+    flipped = [bin(m ^ n).count("1") for m in range(8) for n in range(8)]
+    return np.stack([-2.0 * np.reshape(flipped, (8, 8)), np.zeros((8, 8))])
 
 
-def test_schur_weights_reject_a_map_that_mixes_elements():
-    sx = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(4))
-    with pytest.raises(RuntimeError, match="Schur"):
-        dynamics._schur_weights([lambda rho: sx @ rho @ sx])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_dissipator_weights_are_read_off_the_operator_form(topology):
+    classes, inverse = dynamics._RATE_CLASSES[topology]
+    assert np.array_equal(classes[:, inverse.reshape(8, 8)], element_weights(topology))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_dissipators_are_schur_multipliers(topology):
+    # each shipped map sends every basis matrix E_mn to a multiple of itself,
+    # the weight its rate class holds for rho_mn; the image of the all-ones
+    # matrix gives the weights only for such a map
+    classes, inverse = dynamics._RATE_CLASSES[topology]
+    basis = np.eye(64).reshape(64, 8, 8)
+    for apply, weights in zip(dynamics._DISSIPATORS[topology], classes[:, inverse.reshape(64)], strict=True):
+        images = apply(basis).reshape(64, 64)
+        assert not np.any(images[~np.eye(64, dtype=bool)]), "the map moves weight off its element"
+        assert np.array_equal(images.diagonal(), weights)
+
+
+def test_traces_read_the_topology_tables_built_at_import(monkeypatch):
+    # no trace applies a dissipator map or regroups the rate classes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace rebuilt a topology table")
+
+    for topology in TOPOLOGIES:
+        monkeypatch.setitem(dynamics._DISSIPATORS, topology, (refuse, refuse))
+    monkeypatch.setattr(np, "unique", refuse)
+    for engine in ENGINES:
+        for topology in TOPOLOGIES:
+            values = coherence_trace(BathSpec(topology=topology), StateSpec("ghz"), np.linspace(0.0, 1.0, 5), engine)
+            assert values[0] == pytest.approx(math.log(2.0))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_emit_exactly_hermitian_stacks(engine):
+    # 24 cases: both topologies and memories, the default bath and a cold,
+    # strongly coupled one, and ghz, star and w; no output is re-symmetrized
+    baths = [{}, {"eta": 0.5, "lambda_cutoff": 1.0, "kbt": 1e-3}]
+    for topology, memory, kwargs, name in itertools.product(TOPOLOGIES, MEMORIES, baths, ("ghz", "star", "w")):
+        bath = BathSpec(topology=topology, memory=memory, **kwargs)
+        times = np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 41) / markov_rate(bath)
+        rhos = propagate_grid(bath, make_state(StateSpec(name)), times, engine)
+        assert np.array_equal(rhos, rhos.conj().swapaxes(1, 2)), (topology, memory, kwargs, name)
 
 
 @pytest.mark.parametrize("topology, classes", [("common", 7), ("local", 4)])
@@ -331,12 +364,11 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
 
     ((rate, grid, max_step, coefficients),) = calls
     assert rate(np.ones((5, 3, 2))).shape == (5, 3, classes)
-    weights = dynamics._schur_weights(dynamics._DISSIPATORS[topology])
+    weights = element_weights(topology)
     ref = ode_propagate(lambda c: np.tensordot(c, weights, 1), rho0, grid, max_step,
                         coefficients=coefficients)
     z = dynamics._Z
     ref = ref * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
-    ref = (ref + np.conj(np.swapaxes(ref, 1, 2))) / 2.0
     assert np.max(np.abs(rhos - ref)) < 1e-15
 
 
@@ -388,7 +420,7 @@ def test_trace_is_one_c_r_per_grid_point_closed_form_by_default():
 
 def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
     # the dephased state's spectrum is its diagonal; only S(rho) needs eigh.
-    # The stacks are checked once each: rho0, then the output as C_R's input
+    # The one stack check is C_R's, of the output; the catalog's rho0 is sample 0
     shapes = {"eigh": [], "eigvalsh": []}
 
     def counting(name):
@@ -402,7 +434,7 @@ def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
     for name in shapes:
         monkeypatch.setattr(np.linalg, name, counting(name))
     coherence_trace(COMMON_NM, StateSpec("ghz"), np.linspace(0.0, 0.2, 201))
-    assert shapes == {"eigh": [(8, 8)] * 201, "eigvalsh": [(1, 8, 8), (201, 8, 8)]}
+    assert shapes == {"eigh": [(8, 8)] * 201, "eigvalsh": [(201, 8, 8)]}
 
 
 def test_trace_rejects_zero_coupling():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tridephase.bath import BathSpec
+from tridephase.dynamics import propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import check_time, digamma_im, loggamma_re_diff, ode_propagate
 
@@ -129,8 +131,12 @@ def test_eigendecomposition_rejects_non_hermitian():
 
 
 def test_eigendecomposition_rejects_non_square():
-    with pytest.raises(ValueError, match=r"shape \(2, 8, 4\)"):
-        rel_entropy_coherence(np.zeros((2, 8, 4)))
+    # the message names the shape the caller passed
+    for shape, told in [((2, 8, 4), r"\(2, 8, 4\)"), ((3, 4), r"\(3, 4\)"), ((8,), r"\(8,\)")]:
+        with pytest.raises(ValueError, match=r"^expected an 8x8 matrix or an \(n, 8, 8\) stack, got shape " + told):
+            rel_entropy_coherence(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"^rho0: expected an 8x8 matrix, got shape \(3, 4\)$"):
+        propagate_grid(BathSpec(), np.zeros((3, 4)), [0.0, 1.0])
 
 
 # -------------------------------------------------------------- integrator

@@ -140,12 +140,14 @@ def valid(rho) -> bool:
 
 @pytest.mark.parametrize("name", STATE_NAMES)
 def test_catalog_states_validate(name):
-    rho = make_state(StateSpec(name, p=0.4))
-    assert valid(rho)
-    herm, trace, negative = residuals(rho[None])[0]
-    assert herm < 1e-14
-    assert trace < 1e-13
-    assert negative < 1e-14
+    # coherence_trace takes the catalog's rho0 without checking it again
+    for tenths in range(11):
+        rho = make_state(StateSpec(name, p=tenths / 10))
+        assert valid(rho), tenths
+        herm, trace, negative = residuals(rho[None])[0]
+        assert herm < 1e-14
+        assert trace < 1e-13
+        assert negative < 1e-14
 
 
 def test_validate_flags_broken_trace():
