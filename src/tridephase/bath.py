@@ -132,9 +132,10 @@ def lamb_kernel(spec: BathSpec, t):
         zero = 0.0 * t
         return zero, zero
     lam = spec.lambda_cutoff
-    mu = spec.eta * np.float64(lam) ** 3 * t * t / (1.0 + lam * lam * t * t)  # inf, not OverflowError
+    t_mu = np.minimum(t, 1e150 / lam)  # past lam t = 1e150, mu is eta * lam to rounding, and t * t can overflow
+    mu = spec.eta * np.float64(lam) ** 3 * t_mu * t_mu / (1.0 + lam * lam * t_mu * t_mu)  # inf, not OverflowError
     x = lam * t
-    x2 = x * x
+    x2 = np.square(np.minimum(x, _SERIES_X))  # the series applies below _SERIES_X and must not overflow above
     series = 0.0
     for coefficient in reversed(_ARCTAN_SERIES):  # Horner in x^2
         series = series * x2 + coefficient

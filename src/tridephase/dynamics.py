@@ -12,14 +12,16 @@ the elementwise solution
 while "ode" integrates the dissipator of the master equation with
 fixed-step RK4 in the frame that rotates with the free phase
 exp(-i w0/2 (Z_m - Z_n) t), one scalar equation per class of equal
-elementwise rates; that phase is multiplied back in exactly on output and
-drops out of every coherence measure.  Each engine builds its own topology
-table once, at import, the ode's off the dissipator's operator form, so
-each one checks the other.  Z_m is the collective sigma_z eigenvalue of
-basis index m.
+elementwise rates (the kernel rows gamma(t), mu(t) times the class's
+weights); that phase is multiplied back in exactly on output and drops out
+of every coherence measure.  Each engine builds its own topology table once,
+at import, the ode's off the dissipator's operator form, so each one checks
+the other.  Z_m is the collective sigma_z eigenvalue of basis index m.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -60,17 +62,15 @@ _RATE_CLASSES = {topology: np.unique(np.stack([apply(np.ones((8, 8))) for apply 
 _DECAY = {"common": _DZ.astype(float) ** 2 / 2.0,
           "local": 2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)}
 _ZSQ = _Z[:, None] ** 2 - _Z[None, :] ** 2
+_OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
+             "kbt = {b.kbt:g}; shorten t_max or change them")
 
 
-def _finite(compute, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """The table ``compute()`` of a grid (kernel rows, exponents or phases), or ValueError
-    naming the bath if it overflowed; numpy's warnings are left to this check."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        table = compute()
+def _finite(table: np.ndarray, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """A table of a grid (exponential factors or phases), or ValueError naming the bath if it overflowed."""
     if np.isfinite(table).all():
         return table
-    raise ValueError(f"bath kernels overflow on the grid to t = {times[-1]:g} at eta = {bspec.eta:g}, "
-                     f"lambda = {bspec.lambda_cutoff:g}, kbt = {bspec.kbt:g}; shorten t_max or change them")
+    raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec))
 
 
 def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     return expo
 
 
-def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
+def _internal_step(bspec: BathSpec, times: np.ndarray) -> float:
     """RK4 step: at most the grid spacing, with memory 0.1/lambda (the
     kernels' nearest complex-time pole lies 1/lambda off the real axis), and 1e-2
     over the fastest elementwise rate, the largest rate-class weight times gamma:
@@ -100,44 +100,40 @@ def _internal_step(bspec: BathSpec, times: np.ndarray) -> float | None:
         steps.append(0.1 / bspec.lambda_cutoff)
     if rate > 0.0:
         steps.append(1e-2 / (np.abs(_RATE_CLASSES[bspec.topology][0]).max() * rate))
-    return min(steps, default=None)
+    return min(steps, default=np.inf)
+
+
+def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
+    """The rows (gamma(t), mu(t)) of a stage-time table t, shape t.shape + (2,)."""
+    return np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
 
 
 def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Integrate the dissipator in the frame rotating with the free phase,
     then multiply that phase back in exactly.  Elements with the same rate
     gamma(t) W_g + mu(t) W_mu (a class of _RATE_CLASSES) share one equation."""
-    kernels_called = []
-
-    def coefficients(t: np.ndarray) -> np.ndarray:
-        kernels_called.append(True)
-        return _finite(lambda: np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1),
-                       bspec, times)
-
     classes, inverse = _RATE_CLASSES[bspec.topology]
-    try:  # one 2-d matmul per block, about 4x faster than a stacked (m, 3, 2) @ (2, k)
-        factors = ode_propagate(lambda c: (c.reshape(-1, 2) @ classes).reshape(c.shape[:-1] + (-1,)),
-                                np.ones(len(classes[0]), complex), times,
-                                _internal_step(bspec, times), coefficients=coefficients)
-    except ValueError as exc:
-        if kernels_called:  # the kernel rows overflowed, and _finite named the bath
-            raise
-        # the substep budget, checked before any kernel call
+    try:
+        factors = ode_propagate(partial(_kernel_rows, bspec), classes, times, _internal_step(bspec, times))
+    except ValueError as exc:  # the substep budget, checked before any kernel call
         lam = f", lambda = {bspec.lambda_cutoff:g}" if bspec.memory == "non_markov" else ""
-        raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}{lam}; "
-                         f"raise eta, shorten t_max or use engine closed_form") from exc
-    phases = _finite(lambda: -0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)
+        raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}{lam}, kbt = {bspec.kbt:g}; "
+                         f"{'lower lambda, ' if lam else ''}shorten t_max or use engine closed_form") from exc
+    except RuntimeError as exc:  # non-finite kernel rows make non-finite factors
+        raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec)) from exc
+    phases = _finite(-0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)
     return rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(phases)
 
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
-    """The states from a complex 8x8 rho0 on a checked time grid, by the named
-    engine, after checking the engine but neither rho0 nor the output."""
+    """The states from a complex 8x8 rho0 on a checked time grid, by the named engine, after checking
+    the engine but neither rho0 nor the output; numpy's warnings are left to the engines' checks."""
     if engine not in ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
-    if engine == "closed_form":
-        return rho0 * _finite(lambda: np.exp(_exponents(bath, times)), bath, times)
-    return _ode_grid(bath, rho0, times)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if engine == "closed_form":
+            return rho0 * _finite(np.exp(_exponents(bath, times)), bath, times)
+        return _ode_grid(bath, rho0, times)
 
 
 def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> np.ndarray:
@@ -164,17 +160,15 @@ def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "c
     The grid is dimensionless (gamma0 * t, the x axis of all the plots);
     actual times are gamma0_t / gamma0.  ValueError, naming the bath and
     t_max, if those times are not finite and strictly increasing (gamma0 is
-    0 at eta = 0, and the division can underflow or overflow), or if the
-    states or C_R fail their checks, as at large phases, where rounding can
-    leave no state.
+    0 at eta = 0, and the division can underflow, or overflow: the grid's end
+    is divided first as a float, which warns of nothing), or if the states or
+    C_R fail their checks, as at large phases, where rounding can leave no state.
     """
     grid = check_time(gamma0_t, grid=True)
     g0 = markov_rate(bath)
     where = (f"on the gamma0*t grid to t_max = {grid[-1]:g} at eta = {bath.eta:g}, "
              f"lambda = {bath.lambda_cutoff:g}, kbt = {bath.kbt:g}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        times = grid / g0
-    if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+    if not (g0 > 0.0 and float(grid[-1]) / g0 < np.inf and (np.diff(times := grid / g0) > 0.0).all()):
         raise ValueError(f"no finite, strictly increasing times {where} (gamma0 = 4 pi eta kbt = {g0:g})")
     rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
     try:  # C_R's check is the output check, and the check of the catalog's rho0 (sample 0)

@@ -240,6 +240,8 @@ def trace_csv_bytes(scenario: ScenarioConfig, gamma0_t, values) -> bytes:
         f"# engine={scenario.engine}",
         "gamma0_t,C_R",
     ]
+    if len(gamma0_t) != len(values):
+        raise ValueError(f"{len(gamma0_t)} grid points but {len(values)} C_R values")
     lines.extend(f"{_sig9(t)},{_sig9(c)}" for t, c in zip(gamma0_t, values))
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -141,6 +142,20 @@ def test_lamb_shift_closed_form_values():
     assert abs(mu_inf - DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF) / 1e-3 < 1e-3
     _, big_m2 = lamb_kernel(NON_MARKOV, 2.0)
     assert abs(big_m2 - 2.666026849465486e-7) / 2.666026849465486e-7 < 1e-12
+
+
+def test_lamb_kernel_stays_finite_at_large_times():
+    # the series for M is taken only below its cut, and mu, whose t * t
+    # overflows near t = 1e154, levels off at eta * lambda
+    times = [0.0, 1e-3, 1.0, 1e20, 1e160, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mus, big_ms = lamb_kernel(NON_MARKOV, np.array(times))
+        for t, mu, big_m in zip(times, mus, big_ms):
+            assert lamb_kernel(NON_MARKOV, t) == (mu, big_m)
+    assert np.isfinite(big_ms).all() and np.all(np.diff(big_ms) > 0.0)
+    assert mus[3:] == pytest.approx(DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF, rel=1e-15)
+    assert big_ms[-1] == pytest.approx(DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF * 1e300, rel=1e-15)
 
 
 # x = lambda t from 1e-6 to 1e3, log-spaced, plus both sides of the series cut

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -232,8 +233,11 @@ def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
     with pytest.raises(ValueError, match="over the budget") as info:
         coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, t_max, 201), "ode")
     message = str(info.value)
-    assert f"eta = {bath.eta:g}" in message and "t_max" in message
+    assert f"eta = {bath.eta:g}" in message and f"kbt = {bath.kbt:g}" in message
     assert ("lambda = " in message) == (bath.memory == "non_markov")
+    # a Markov trace's substep count is set by gamma0 t alone, so raising eta cannot lower it
+    advice = "lower lambda, shorten t_max" if bath.memory == "non_markov" else "shorten t_max"
+    assert message.endswith(f"; {advice} or use engine closed_form") and "raise eta" not in message
 
 
 @pytest.mark.parametrize("eta, lam, kbt, engine, error", [
@@ -274,9 +278,23 @@ def test_propagated_states_pass_the_bounds_of_the_measures(engine):
         propagate_grid(bath, make_state(StateSpec("star")), times, engine)
 
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
+    # inf rows make non-finite factors, which both entry points report as the bath's overflow
     monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
     with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):
         propagate_grid(BathSpec(), make_state(StateSpec("ghz")), [0.0, 2.0], "ode")
+    with pytest.raises(ValueError, match="bath kernels overflow on the grid to t = 2 at eta = 0.1, "
+                                         "lambda = 0.01, kbt = 0.0795775; shorten t_max"):
+        coherence_trace(BathSpec(), StateSpec("ghz"), [0.0, 0.2], "ode")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
+    # gamma0 = 4 pi eta kbt is subnormal, and 1e-2 / (18 gamma0) overflowed in the ODE step rule
+    bath = BathSpec(eta=1e-300, kbt=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rhos = propagate_grid(bath, make_state(StateSpec("ghz")), [0.0, 1.0], engine)
+    assert abs(rhos[-1, 0, 7]) == pytest.approx(0.5)
 
 
 def test_ode_peak_memory_is_bounded_by_blocks():
@@ -351,9 +369,9 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
     # must match integrating all 64 elements at their own rates
     calls = []
 
-    def recording(rate, y0, grid, max_step=None, *, coefficients):
-        calls.append((rate, grid, max_step, coefficients))
-        return ode_propagate(rate, y0, grid, max_step, coefficients=coefficients)
+    def recording(coefficients, weights, grid, max_step):
+        calls.append((coefficients, weights, grid, max_step))
+        return ode_propagate(coefficients, weights, grid, max_step)
 
     monkeypatch.setattr(dynamics, "ode_propagate", recording)
     v = np.random.default_rng(3).normal(size=(8, 2)) @ [1.0, 1j]
@@ -362,13 +380,11 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
     bath = BathSpec(topology=topology, memory="non_markov")
     rhos = propagate_grid(bath, rho0, times, "ode")
 
-    ((rate, grid, max_step, coefficients),) = calls
-    assert rate(np.ones((5, 3, 2))).shape == (5, 3, classes)
-    weights = element_weights(topology)
-    ref = ode_propagate(lambda c: np.tensordot(c, weights, 1), rho0, grid, max_step,
-                        coefficients=coefficients)
+    ((coefficients, weights, grid, max_step),) = calls
+    assert weights.shape == (2, classes)
+    ref = ode_propagate(coefficients, element_weights(topology).reshape(2, 64), grid, max_step)
     z = dynamics._Z
-    ref = ref * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
+    ref = rho0 * ref.reshape(-1, 8, 8) * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
     assert np.max(np.abs(rhos - ref)) < 1e-15
 
 
@@ -382,11 +398,11 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
     # the stage-time table has one row per RK4 substep
     taken = []
 
-    def counting(rate, y0, grid, max_step=None, *, coefficients):
+    def counting(coefficients, weights, grid, max_step):
         def table(stages):
             taken.append(len(stages))
             return coefficients(stages)
-        return ode_propagate(rate, y0, grid, max_step, coefficients=table)
+        return ode_propagate(table, weights, grid, max_step)
 
     monkeypatch.setattr(dynamics, "ode_propagate", counting)
     coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"),

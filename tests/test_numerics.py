@@ -141,53 +141,71 @@ def test_eigendecomposition_rejects_non_square():
 
 # -------------------------------------------------------------- integrator
 
-def time_table(stages):
-    """Coefficients that are the stage times themselves."""
-    return stages
+def ones(stages):
+    """One coefficient row of 1 per stage, so that the rate is the weight itself."""
+    return np.ones(np.shape(stages) + (1,))
 
 
-def constant(value):
-    """A rate that is ``value`` at every stage of a scalar state."""
-    return lambda c: np.full(np.shape(c), value)
+def stage_times(stages):
+    """One coefficient row per stage, the stage time itself."""
+    return stages[..., None]
+
+
+def weight(rate):
+    """The (1, 1) weights of the one equation dy/dt = rate * c(t) * y."""
+    return np.array([[rate]])
 
 
 def test_ode_linear_decay():
-    ys = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)
-    assert abs(ys[-1] - E_INV) < 1e-7
+    ys = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)
+    assert ys.shape == (2, 1)
+    assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
 def test_ode_time_dependent_coefficient():
     # dy/dt = -2 t y has solution exp(-t^2)
-    ys = ode_propagate(lambda t: -2.0 * t, 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)
-    assert abs(ys[-1] - E_INV) < 1e-7
+    ys = ode_propagate(stage_times, weight(-2.0), [0.0, 1.0], max_step=0.01)
+    assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
 def test_ode_slow_decay_long_window():
-    ys = ode_propagate(constant(-0.2), 1.0, [0.0, 5.0], max_step=0.05, coefficients=time_table)
-    assert abs(ys[-1] - E_INV) < 1e-7
+    ys = ode_propagate(ones, weight(-0.2), [0.0, 5.0], max_step=0.05)
+    assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
 def test_ode_fourth_order_convergence():
     exact = E_INV
     errs = []
     for h in (0.2, 0.1):
-        ys = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=h, coefficients=time_table)
-        errs.append(abs(ys[-1] - exact))
+        ys = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=h)
+        errs.append(abs(ys[-1, 0] - exact))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.8
 
 
 def test_ode_step_refinement_is_converged():
-    coarse = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.01, coefficients=time_table)[-1]
-    fine = ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.005, coefficients=time_table)[-1]
+    coarse = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)[-1, 0]
+    fine = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.005)[-1, 0]
     assert abs(coarse - fine) / abs(fine) < 1e-8
 
 
 def test_ode_samples_every_grid_point():
     grid = np.linspace(0.0, 2.0, 9)
-    ys = ode_propagate(constant(-1.0), 1.0, grid, max_step=0.01, coefficients=time_table)
-    assert ys.shape == (9,)
-    assert np.max(np.abs(ys - np.exp(-grid))) < 1e-8
+    ys = ode_propagate(ones, weight(-1.0), grid, max_step=0.01)
+    assert ys.shape == (9, 1)
+    assert np.max(np.abs(ys[:, 0] - np.exp(-grid))) < 1e-8
+
+
+def test_ode_without_a_step_bound_takes_one_substep_per_interval():
+    stages = []
+
+    def table(t):
+        stages.append(t)
+        return ones(t)
+
+    ys = ode_propagate(table, weight(-1.0), [0.0, 0.5, 2.0], max_step=np.inf)
+    assert len(stages) == 1 and np.array_equal(stages[0], [[0.0, 0.25, 0.5], [0.5, 1.25, 2.0]])
+    assert ys.shape == (3, 1) and ys[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("grid", [
@@ -198,18 +216,21 @@ def test_ode_samples_every_grid_point():
 ])
 def test_ode_grid_validation(grid):
     with pytest.raises(ValueError):
-        ode_propagate(constant(-1.0), 1.0, grid, coefficients=time_table)
+        ode_propagate(ones, weight(-1.0), grid, max_step=0.01)
 
 
 def test_ode_rejects_bad_max_step():
     with pytest.raises(ValueError):
-        ode_propagate(constant(-1.0), 1.0, [0.0, 1.0], max_step=0.0, coefficients=time_table)
+        ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.0)
+    for step in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="max_step must be >= 0"):
+            ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=step)
 
 
 def test_ode_direct_call_holds_the_substep_budget():
     # 1e310 substeps overflow to inf; an int cast would make the count negative
     with pytest.raises(ValueError, match="inf RK4 substeps to reach t = 1e\\+300, over the budget of 200000"):
-        ode_propagate(constant(-1.0), 1.0, [0.0, 1e300], 1e-10, coefficients=time_table)
+        ode_propagate(ones, weight(-1.0), [0.0, 1e300], 1e-10)
 
 
 def test_ode_blowup_reports_last_good_time():
@@ -218,7 +239,7 @@ def test_ode_blowup_reports_last_good_time():
     grid = np.linspace(0.0, 2.0, 5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=r"non-finite after t=1$"):
-            ode_propagate(constant(1000.0), 1.0, grid, max_step=0.01, coefficients=time_table)
+            ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
 
     # one substep per 0.005-long interval, each multiplying y by the RK4 factor
     # of z = 5; the first overflowing sample lies inside the first block
@@ -229,37 +250,36 @@ def test_ode_blowup_reports_last_good_time():
     assert 1 < first_bad < 256
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=rf"non-finite after t={grid[first_bad - 1]:g}$"):
-            ode_propagate(constant(1000.0), 1.0, grid, max_step=0.01, coefficients=time_table)
+            ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
 
 
-def test_ode_complex_matrix_state_with_one_coefficient_call():
-    # d rho/dt = -2 t i rho, coefficient -2 t tabulated once for every stage
+def test_ode_complex_rates_with_one_coefficient_call():
+    # dy/dt = -2 t i y and its conjugate, coefficient -2 t tabulated once for every stage
     calls = []
 
     def table(stages):
         calls.append(stages.shape)
-        return -2.0 * stages
+        return -2.0 * stage_times(stages)
 
-    rho0 = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
-    ys = ode_propagate(lambda c: 1j * c[..., None, None] * np.ones((2, 2)), rho0,
-                       np.linspace(0.0, 1.0, 5), max_step=0.01, coefficients=table)
-    assert ys.shape == (5, 2, 2) and ys.dtype == complex
+    ys = ode_propagate(table, np.array([[1j, -1j]]), np.linspace(0.0, 1.0, 5), max_step=0.01)
+    assert ys.shape == (5, 2) and ys.dtype == complex
     assert calls == [(100, 3)]
-    assert np.max(np.abs(ys[-1] - rho0 * np.exp(-1j))) < 1e-8
+    assert np.max(np.abs(ys[-1] - np.exp([-1j, 1j]))) < 1e-8
 
 
-def test_ode_rate_is_called_once_per_block_of_the_trace():
-    # 600 substeps in the first interval, 25 in the second; blocks run on
-    # across the interval boundary
-    blocks = []
+def test_ode_blocks_run_on_across_interval_boundaries():
+    # 600 substeps in the first interval, 25 in the second: blocks of 256, 256
+    # and 113 substeps, the last two spanning the interval boundary
+    stages = []
 
-    def rate(c):
-        blocks.append(len(c))
-        return -np.ones_like(c)
+    def table(t):
+        stages.append(len(t))
+        return ones(t)
 
-    ys = ode_propagate(rate, 1.0, [0.0, 6.0, 6.25], max_step=0.01, coefficients=time_table)
-    assert blocks == [256, 256, 113]
-    assert abs(ys[-1] - np.exp(-6.25)) < 1e-9
+    ys = ode_propagate(table, weight(-1.0), [0.0, 6.0, 6.25], max_step=0.01)
+    assert stages == [625]
+    assert abs(ys[1, 0] - np.exp(-6.0)) < 1e-9
+    assert abs(ys[-1, 0] - np.exp(-6.25)) < 1e-9
 
 
 def textbook_rk4(rate, y0, grid, max_step):
@@ -296,15 +316,18 @@ rk4_cases = st.fixed_dictionaries({
           "spans": [1.8, 0.01, 2.0], "max_step": 4e-3})
 @given(rk4_cases)
 def test_ode_blocked_product_matches_textbook_rk4(case):
-    # three elements, each with its own complex rate a + b t + c sin(3 t)
-    offset, slope, wobble = (np.array(case[key]) for key in ("offset", "slope", "wobble"))
+    # three elements, each with its own complex rate a + b t + c sin(3 t): the
+    # coefficient rows [1, t, sin 3t] against the weights (offset, slope, wobble)
+    offset, slope, wobble = weights = np.array([case[key] for key in ("offset", "slope", "wobble")])
 
     def rate_at(t):
         return offset + slope * t + wobble * np.sin(3.0 * t)
 
+    def rows(stages):
+        return np.stack([np.ones_like(stages), stages, np.sin(3.0 * stages)], axis=-1)
+
     grid = np.concatenate([[0.0], np.cumsum(case["spans"])])
     y0 = np.array([1.0, 0.5 - 0.5j, -2.0j])
-    ys = ode_propagate(lambda c: rate_at(c[..., None]), y0, grid, max_step=case["max_step"],
-                       coefficients=time_table)
+    ys = y0 * ode_propagate(rows, weights, grid, max_step=case["max_step"])
     expected = textbook_rk4(rate_at, y0, grid, case["max_step"])
     assert np.max(np.abs(ys - expected) / np.abs(expected)) < 1e-13

@@ -280,6 +280,13 @@ def test_csv_bytes_are_deterministic():
     assert trace_csv_bytes(*w_trace()) == trace_csv_bytes(*w_trace())
 
 
+def test_csv_rejects_values_that_do_not_match_the_grid():
+    scenario, _, _ = w_trace()
+    for grid, values in [(np.linspace(0.0, 3.0, 5), np.ones(3)), (np.linspace(0.0, 3.0, 2), np.ones(4))]:
+        with pytest.raises(ValueError, match=f"^{len(grid)} grid points but {len(values)} C_R values$"):
+            trace_csv_bytes(scenario, grid, values)
+
+
 # ------------------------------------------------------------------ running
 
 def test_run_scenarios_writes_files(tmp_path):
@@ -531,18 +538,24 @@ def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "ghz_common_non_markov.csv").exists()
 
 
-@pytest.mark.parametrize("bath, t_max", [
-    (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
-    (BathSpec(memory="non_markov"), 1e300),
-    (BathSpec(kbt=1e-300, memory="non_markov"), 0.2),
-], ids=["lambda", "t_max", "kbt"])
-def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max):
-    # the kernels overflow to inf or nan on these grids
+OVERFLOWING = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
+               "t_max": (BathSpec(memory="non_markov"), 1e300),
+               "kbt": (BathSpec(kbt=1e-300, memory="non_markov"), 0.2)}
+
+
+@pytest.mark.parametrize("bath, t_max, engine, error", [
+    pytest.param(bath, t_max, engine, error, id=name if engine == "closed_form" else f"{name}-ode")
+    for engine, error in [("closed_form", "bath kernels overflow"), ("ode", "over the budget")]
+    for name, (bath, t_max) in OVERFLOWING.items()])
+def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max, engine, error):
+    # the kernels overflow to inf or nan on these grids; the ode engine's substep
+    # count is over its budget before any kernel call
     scenario = ScenarioConfig(state=StateSpec("ghz"), bath=bath, t_max=t_max, n_points=201,
-                              engine="closed_form", output="x.csv")
+                              engine=engine, output="x.csv")
     (result,) = run_scenarios([scenario], tmp_path)
     assert isinstance(result.error, ValueError)
     message = str(result.error)
+    assert error in message
     for field in ("eta", "lambda", "kbt", "t_max"):
         assert f"{field} " in message
     assert not (tmp_path / "x.csv").exists()
