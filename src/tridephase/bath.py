@@ -123,7 +123,7 @@ def lamb_kernel(spec: BathSpec, t):
     For the exponentially cut off Ohmic density the frequency integrals are
     elementary:
 
-        mu(t) = eta * lam^3 t^2 / (1 + lam^2 t^2)
+        mu(t) = eta * lam * x^2 / (1 + x^2)
         M(t)  = eta * (x - arctan(x)),  x = lam t
               = eta * (x^3/3 - x^5/5 + ...)  for x < 0.1
     """
@@ -132,9 +132,10 @@ def lamb_kernel(spec: BathSpec, t):
         zero = 0.0 * t
         return zero, zero
     lam = spec.lambda_cutoff
-    t_mu = np.minimum(t, 1e150 / lam)  # past lam t = 1e150, mu is eta * lam to rounding, and t * t can overflow
-    mu = spec.eta * np.float64(lam) ** 3 * t_mu * t_mu / (1.0 + lam * lam * t_mu * t_mu)  # inf, not OverflowError
-    x = lam * t
+    x_mu = lam * np.minimum(t, 1e150 / lam)  # past lam t = 1e150, mu is eta * lam to rounding, and x^2 can overflow
+    mu = spec.eta * lam * (x_mu * x_mu / (1.0 + x_mu * x_mu))
+    with np.errstate(over="ignore"):  # M is inf past lam t ~ 1.8e308, with no warning, as for a scalar t
+        x = lam * t
     x2 = np.square(np.minimum(x, _SERIES_X))  # the series applies below _SERIES_X and must not overflow above
     series = 0.0
     for coefficient in reversed(_ARCTAN_SERIES):  # Horner in x^2

@@ -10,13 +10,14 @@ the elementwise solution
                                         - (Z_m - Z_n)^2 / 2 * Gamma(t))
 
 while "ode" integrates the dissipator of the master equation with
-fixed-step RK4 in the frame that rotates with the free phase
+fixed-step fourth-order Magnus in the frame that rotates with the free phase
 exp(-i w0/2 (Z_m - Z_n) t), one scalar equation per class of equal
 elementwise rates (the kernel rows gamma(t), mu(t) times the class's
-weights); that phase is multiplied back in exactly on output and drops out
-of every coherence measure.  Each engine builds its own topology table once,
-at import, the ode's off the dissipator's operator form, so each one checks
-the other.  Z_m is the collective sigma_z eigenvalue of basis index m.
+weights), each the exp of its rate's Simpson-rule integral; that phase is
+multiplied back in exactly on output and drops out of every coherence
+measure.  Each engine builds its own topology table once, at import, the
+ode's off the dissipator's operator form, so each one checks the other.
+Z_m is the collective sigma_z eigenvalue of basis index m.
 """
 
 from __future__ import annotations
@@ -87,22 +88,6 @@ def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     return expo
 
 
-def _internal_step(bspec: BathSpec, times: np.ndarray) -> float:
-    """RK4 step: at most the grid spacing, with memory 0.1/lambda (the
-    kernels' nearest complex-time pole lies 1/lambda off the real axis), and 1e-2
-    over the fastest elementwise rate, the largest rate-class weight times gamma:
-    18 gamma in the shared bath (its Lamb rate is 8 mu), 6 with local baths.  With
-    memory gamma(t) peaks and mu(t) levels off near eta * lambda, above gamma0 if kbt << lambda."""
-    steps = [float(np.min(np.diff(times)))] if len(times) > 1 else []
-    rate = markov_rate(bspec)
-    if bspec.memory == "non_markov":
-        rate = max(rate, bspec.eta * bspec.lambda_cutoff)
-        steps.append(0.1 / bspec.lambda_cutoff)
-    if rate > 0.0:
-        steps.append(1e-2 / (np.abs(_RATE_CLASSES[bspec.topology][0]).max() * rate))
-    return min(steps, default=np.inf)
-
-
 def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
     """The rows (gamma(t), mu(t)) of a stage-time table t, shape t.shape + (2,)."""
     return np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
@@ -113,12 +98,14 @@ def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarra
     then multiply that phase back in exactly.  Elements with the same rate
     gamma(t) W_g + mu(t) W_mu (a class of _RATE_CLASSES) share one equation."""
     classes, inverse = _RATE_CLASSES[bspec.topology]
+    # the Magnus step: with memory 0.05/lambda, as the kernels' nearest complex-time pole lies 1/lambda
+    # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
+    step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
     try:
-        factors = ode_propagate(partial(_kernel_rows, bspec), classes, times, _internal_step(bspec, times))
+        factors = ode_propagate(partial(_kernel_rows, bspec), classes, times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call
-        lam = f", lambda = {bspec.lambda_cutoff:g}" if bspec.memory == "non_markov" else ""
-        raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}{lam}, kbt = {bspec.kbt:g}; "
-                         f"{'lower lambda, ' if lam else ''}shorten t_max or use engine closed_form") from exc
+        raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
+                         f"kbt = {bspec.kbt:g}; lower lambda, shorten t_max or use engine closed_form") from exc
     except RuntimeError as exc:  # non-finite kernel rows make non-finite factors
         raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec)) from exc
     phases = _finite(-0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)

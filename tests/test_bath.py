@@ -158,6 +158,26 @@ def test_lamb_kernel_stays_finite_at_large_times():
     assert big_ms[-1] == pytest.approx(DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF * 1e300, rel=1e-15)
 
 
+@pytest.mark.parametrize("lam", [1e10, 1e300])
+def test_lamb_rate_stays_finite_at_large_cutoffs(lam):
+    # mu = eta lam x^2 / (1 + x^2) with x = lam t: lam^3 t^2 overflowed at lam = 1e10,
+    # t = 1e140, and lam^3 at lam = 1e300; M itself is inf once lam t overflows
+    spec = BathSpec(lambda_cutoff=lam, memory="non_markov")
+    times = [0.0, 1e-3, 1e140]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mus, big_ms = lamb_kernel(spec, np.array(times))
+        for t, mu, big_m in zip(times, mus, big_ms):
+            assert lamb_kernel(spec, t) == (mu, big_m)
+    assert np.isfinite(mus).all()
+    assert np.isfinite(big_ms).all() == (lam * times[-1] < np.inf)
+    with mpmath.workdps(40):
+        for t, mu in zip(times, mus):
+            x = mpmath.mpf(lam) * mpmath.mpf(t)
+            expected = mpmath.mpf(spec.eta) * mpmath.mpf(lam) * x * x / (1 + x * x)
+            assert abs(mu - expected) <= 1e-15 * expected, t
+
+
 # x = lambda t from 1e-6 to 1e3, log-spaced, plus both sides of the series cut
 LAMB_X = np.concatenate([np.logspace(-6.0, 3.0, 46), [0.0999999, 0.1, 0.1000001]])
 

@@ -227,23 +227,23 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
 
 
 @pytest.mark.parametrize("bath, t_max", [(BathSpec(eta=1e-300, memory="non_markov"), 0.2),
-                                         (BathSpec(), 1e300)], ids=["eta", "t_max"])
+                                         (BathSpec(memory="non_markov"), 1e300)], ids=["eta", "t_max"])
 def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
-    # 1e298 substeps or more: an int cast of the counts would wrap under the budget
+    # 1e298 substeps or more: an int cast of the counts would wrap under the budget.
+    # A Markov trace takes one substep per grid interval, so only memory gets here.
     with pytest.raises(ValueError, match="over the budget") as info:
         coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, t_max, 201), "ode")
     message = str(info.value)
-    assert f"eta = {bath.eta:g}" in message and f"kbt = {bath.kbt:g}" in message
-    assert ("lambda = " in message) == (bath.memory == "non_markov")
-    # a Markov trace's substep count is set by gamma0 t alone, so raising eta cannot lower it
-    advice = "lower lambda, shorten t_max" if bath.memory == "non_markov" else "shorten t_max"
-    assert message.endswith(f"; {advice} or use engine closed_form") and "raise eta" not in message
+    for field in (f"eta = {bath.eta:g}", f"lambda = {bath.lambda_cutoff:g}", f"kbt = {bath.kbt:g}"):
+        assert field in message
+    assert message.endswith("; lower lambda, shorten t_max or use engine closed_form")
+    assert "raise eta" not in message
 
 
 @pytest.mark.parametrize("eta, lam, kbt, engine, error", [
     (1e-300, 1e-300, 1e-3, "ode", None),  # lambda ** -2 raised OverflowError; a numpy power gives inf
     (1e-300, 1e-300, 1e30, "closed_form", "bath kernels overflow"),  # the Stirling shift took ceil(-inf)
-    (1e30, 1e300, 1e-300, "ode", "over the budget"),  # eta * lambda = inf made a step of 0, read as no step
+    (1e30, 1e300, 1e-300, "ode", "over the budget"),  # steps of 0.05 / lambda = 5e-302 to t = 8e-32
 ])
 def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
     bath = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, memory="non_markov")
@@ -289,7 +289,7 @@ def test_ode_kernel_rows_must_be_finite(monkeypatch):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
-    # gamma0 = 4 pi eta kbt is subnormal, and 1e-2 / (18 gamma0) overflowed in the ODE step rule
+    # gamma0 = 4 pi eta kbt is subnormal; the ODE step of a Markov bath is inf and divides by no rate
     bath = BathSpec(eta=1e-300, kbt=1e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -298,7 +298,8 @@ def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
 
 
 def test_ode_peak_memory_is_bounded_by_blocks():
-    # one interval of 14400 RK4 substeps; the factors are formed 256 at a time
+    # one 80-long interval of a constant Markov rate is one block of one Magnus
+    # substep, whose Simpson integral is exact
     rho0 = make_state(StateSpec("ghz"))
     tracemalloc.start()
     try:
@@ -389,13 +390,15 @@ def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, class
 
 
 @pytest.mark.parametrize("topology, memory, substeps", [
-    ("common", "markov", 5509),
-    ("local", "markov", 1911),
-    ("common", "non_markov", 400),
-    ("local", "non_markov", 399),
+    ("common", "markov", 200),
+    ("local", "markov", 200),
+    ("common", "non_markov", 200),
+    ("local", "non_markov", 200),
 ])
 def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, substeps):
-    # the stage-time table has one row per RK4 substep
+    # the stage-time table has one row per Magnus substep: one per grid interval,
+    # as a Markov rate is constant and the memory step 0.05 / lambda = 5 exceeds
+    # the spacing 0.01 of the 200 intervals to t = 2
     taken = []
 
     def counting(coefficients, weights, grid, max_step):

@@ -174,13 +174,29 @@ def test_ode_slow_decay_long_window():
 
 
 def test_ode_fourth_order_convergence():
-    exact = E_INV
+    # dy/dt = -cos(3t) y has solution exp(-sin(3t) / 3); a constant rate would be exact
+    def cos3(stages):
+        return np.cos(3.0 * stages)[..., None]
+
+    exact = math.exp(-math.sin(3.0) / 3.0)
     errs = []
     for h in (0.2, 0.1):
-        ys = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=h)
+        ys = ode_propagate(cos3, weight(-1.0), [0.0, 1.0], max_step=h)
         errs.append(abs(ys[-1, 0] - exact))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.8
+
+
+def test_ode_cubic_rates_are_exact():
+    # Simpson's rule integrates a cubic exactly: dy/dt = (1 - 2t + 3t^2 - 4t^3) y has
+    # solution exp(t - t^2 + t^3 - t^4), reached to rounding in one substep per interval
+    def cubic(stages):
+        return np.stack([np.ones_like(stages), stages, stages ** 2, stages ** 3], axis=-1)
+
+    grid = np.linspace(0.0, 1.0, 6)
+    ys = ode_propagate(cubic, np.array([[1.0], [-2.0], [3.0], [-4.0]]), grid, max_step=np.inf)
+    exact = np.exp(grid - grid ** 2 + grid ** 3 - grid ** 4)
+    assert np.max(np.abs(ys[:, 0] - exact)) < 1e-15
 
 
 def test_ode_step_refinement_is_converged():
@@ -229,25 +245,22 @@ def test_ode_rejects_bad_max_step():
 
 def test_ode_direct_call_holds_the_substep_budget():
     # 1e310 substeps overflow to inf; an int cast would make the count negative
-    with pytest.raises(ValueError, match="inf RK4 substeps to reach t = 1e\\+300, over the budget of 200000"):
+    with pytest.raises(ValueError, match="inf Magnus substeps to reach t = 1e\\+300, over the budget of 200000"):
         ode_propagate(ones, weight(-1.0), [0.0, 1e300], 1e-10)
 
 
 def test_ode_blowup_reports_last_good_time():
-    # dy/dt = 1000 y: each 0.5-long interval multiplies y by about 1e140, so
-    # the state overflows in the third interval
+    # dy/dt = 1000 y: y = exp(1000 t) is about 1e217 at t = 0.5 and
+    # overflows past t = ln(max float) / 1000 = 0.7098, in the third interval
     grid = np.linspace(0.0, 2.0, 5)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"non-finite after t=1$"):
+        with pytest.raises(RuntimeError, match=r"non-finite after t=0.5$"):
             ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
 
-    # one substep per 0.005-long interval, each multiplying y by the RK4 factor
-    # of z = 5; the first overflowing sample lies inside the first block
+    # one substep per 0.005-long interval; exp(5 k) first overflows at sample k = 142
     grid = np.linspace(0.0, 2.0, 401)
-    z = 1000.0 * 0.005
-    factor = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-    first_bad = math.floor(math.log(np.finfo(float).max) / math.log(factor)) + 1
-    assert 1 < first_bad < 256
+    first_bad = math.floor(math.log(np.finfo(float).max) / 5.0) + 1
+    assert first_bad == 142
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match=rf"non-finite after t={grid[first_bad - 1]:g}$"):
             ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
@@ -268,8 +281,8 @@ def test_ode_complex_rates_with_one_coefficient_call():
 
 
 def test_ode_blocks_run_on_across_interval_boundaries():
-    # 600 substeps in the first interval, 25 in the second: blocks of 256, 256
-    # and 113 substeps, the last two spanning the interval boundary
+    # a block of 600 substeps in the first interval and one of 25 in the second:
+    # the running integral carries on across the interval boundary
     stages = []
 
     def table(t):
@@ -282,27 +295,24 @@ def test_ode_blocks_run_on_across_interval_boundaries():
     assert abs(ys[-1, 0] - np.exp(-6.25)) < 1e-9
 
 
-def textbook_rk4(rate, y0, grid, max_step):
-    """Classical RK4 on dy/dt = rate(t) * y, one substep at a time."""
-    y = np.array(y0, dtype=complex)
-    out = [y]
+def magnus_reference(rows, weights, y0, grid, max_step):
+    """The fourth-order Magnus step on dy/dt = (rows(t) @ weights) * y, one substep at a time:
+    each adds Simpson's integral of the rows to the exponent, exp follows at each grid point."""
+    integral = np.zeros(len(weights))
+    out = [np.array(y0, dtype=complex)]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         n = max(1, math.ceil((t1 - t0) / max_step))
         h = (t1 - t0) / n
         for j in range(n):
             t = t0 + j * h
-            k1 = rate(t) * y
-            k2 = rate(t + h / 2.0) * (y + h / 2.0 * k1)
-            k3 = rate(t + h / 2.0) * (y + h / 2.0 * k2)
-            k4 = rate(t + h) * (y + h * k3)
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(y)
+            integral = integral + h / 6.0 * (rows(t) + 4.0 * rows(t + h / 2.0) + rows(t + h))
+        out.append(y0 * np.exp(integral @ weights))
     return np.array(out)
 
 
 complex_coefficients = st.lists(
     st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=3, max_size=3)
-rk4_cases = st.fixed_dictionaries({
+magnus_cases = st.fixed_dictionaries({
     "offset": complex_coefficients,
     "slope": complex_coefficients,
     "wobble": complex_coefficients,
@@ -314,14 +324,11 @@ rk4_cases = st.fixed_dictionaries({
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @example({"offset": [-1.0, 0.5j, 2.0 - 1.0j], "slope": [0.0, 1.0, -0.5j], "wobble": [1.0j, 0.0, 1.0],
           "spans": [1.8, 0.01, 2.0], "max_step": 4e-3})
-@given(rk4_cases)
-def test_ode_blocked_product_matches_textbook_rk4(case):
+@given(magnus_cases)
+def test_ode_matches_per_substep_magnus_reference(case):
     # three elements, each with its own complex rate a + b t + c sin(3 t): the
     # coefficient rows [1, t, sin 3t] against the weights (offset, slope, wobble)
-    offset, slope, wobble = weights = np.array([case[key] for key in ("offset", "slope", "wobble")])
-
-    def rate_at(t):
-        return offset + slope * t + wobble * np.sin(3.0 * t)
+    weights = np.array([case[key] for key in ("offset", "slope", "wobble")])
 
     def rows(stages):
         return np.stack([np.ones_like(stages), stages, np.sin(3.0 * stages)], axis=-1)
@@ -329,5 +336,5 @@ def test_ode_blocked_product_matches_textbook_rk4(case):
     grid = np.concatenate([[0.0], np.cumsum(case["spans"])])
     y0 = np.array([1.0, 0.5 - 0.5j, -2.0j])
     ys = y0 * ode_propagate(rows, weights, grid, max_step=case["max_step"])
-    expected = textbook_rk4(rate_at, y0, grid, case["max_step"])
+    expected = magnus_reference(rows, weights, y0, grid, case["max_step"])
     assert np.max(np.abs(ys - expected) / np.abs(expected)) < 1e-13

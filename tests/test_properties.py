@@ -114,8 +114,7 @@ def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
 def memory_bath(eta, kbt, u, topology, memory):
     """A bath whose lambda / kbt is log-uniform from its top down to 0.025
     (u = 0 at the top).  The top is 1e3, capped at lambda = 1 and at 1e5 eta:
-    at gamma0 t = 0.2 that keeps the RK4 steps of 0.1 / lambda under 16000
-    and those of eta * lambda under 29000."""
+    at gamma0 t = 0.2 that keeps the Magnus steps of 0.05 / lambda under 32000."""
     top = min(1e3, 1.0 / kbt, 1e5 * eta)
     ratio = top * (0.025 / top) ** u
     return BathSpec(eta=eta, lambda_cutoff=ratio * kbt, kbt=kbt, topology=topology, memory=memory)
@@ -150,6 +149,25 @@ def test_engines_agree_on_drawn_baths(sc):
     assert np.max(np.abs(closed - ode)) < TOL
     # the zero-rate class has a factor of exactly 1, so populations never move
     assert np.array_equal(ode.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
+
+
+markov_scenarios = st.fixed_dictionaries({
+    "state": st.builds(StateSpec, st.sampled_from(STATE_NAMES), st.floats(0.0, 1.0)),
+    "bath": st.builds(BathSpec, eta=log_uniform(1e-8, 10.0), kbt=log_uniform(1e-6, 10.0),
+                      topology=st.sampled_from(TOPOLOGIES)),
+    "t_max": st.floats(0.01, 5.0),
+    "n_points": st.integers(2, 201),
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(markov_scenarios)
+def test_markov_ode_equals_the_closed_form_on_drawn_baths(sc):
+    # a constant rate makes the Magnus step exact over any span, one per interval
+    times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
+    rho0 = make_state(sc["state"])
+    closed = propagate_grid(sc["bath"], rho0, times)
+    assert np.max(np.abs(propagate_grid(sc["bath"], rho0, times, "ode") - closed)) < 1e-12
 
 
 # eta, lambda, kbt and t_max log-uniform over [1e-300, 1e300], any state,

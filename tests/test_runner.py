@@ -528,7 +528,7 @@ def test_cli_weak_coupling_long_window_exits_zero(tmp_path, capsys, engine):
 
 
 def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
-    # gamma0 t = 0.2 at eta = 1e-8 is t = 2e7, some 2e6 steps of 0.1/lambda
+    # gamma0 t = 0.2 at eta = 1e-8 is t = 2e7, some 4e6 steps of 0.05/lambda
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: non_markov, "
                    "eta: 1.0e-8, engine: ode}\n")
