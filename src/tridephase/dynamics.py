@@ -104,8 +104,11 @@ def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarra
     try:
         factors = ode_propagate(partial(_kernel_rows, bspec), classes, times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call
+        # with no interval split, the grid's points alone are over the budget
+        advice = ("use fewer grid points or engine closed_form" if np.all(np.diff(times) <= step)
+                  else "lower lambda, shorten t_max or use engine closed_form")
         raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
-                         f"kbt = {bspec.kbt:g}; lower lambda, shorten t_max or use engine closed_form") from exc
+                         f"kbt = {bspec.kbt:g}; {advice}") from exc
     except RuntimeError as exc:  # non-finite kernel rows make non-finite factors
         raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec)) from exc
     phases = _finite(-0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)

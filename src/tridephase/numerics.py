@@ -162,7 +162,7 @@ def ode_propagate(coefficients: Callable, weights: np.ndarray, grid: Sequence[fl
         n_sub = np.maximum(1.0, np.ceil(spans / max_step))
         total = np.sum(n_sub)
     if total > _MAX_SUBSTEPS:
-        raise ValueError(f"{total:.3g} Magnus substeps to reach t = {times[-1]:g}, over the budget of {_MAX_SUBSTEPS}")
+        raise ValueError(f"{total:.7g} Magnus substeps to reach t = {times[-1]:g}, over the budget of {_MAX_SUBSTEPS}")
     n_sub = n_sub.astype(int)
     stop = np.cumsum(n_sub)
     h = np.repeat(spans / n_sub, n_sub)

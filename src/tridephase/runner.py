@@ -32,6 +32,10 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.cyaml import CParser
+from yaml.resolver import Resolver
 
 from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec
 from .dynamics import ENGINES, coherence_trace
@@ -174,6 +178,18 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
     return scenarios
 
 
+class _Loader(Composer, CParser, SafeConstructor, Resolver):
+    """safe_load's documents from libyaml's C scanner and parser.  The composer is
+    PyYAML's Python one: CSafeLoader's composes in Cython, which exhausts the C
+    stack (a crash, not an exception) on a deeply nested document."""
+
+    def __init__(self, stream):
+        CParser.__init__(self, stream)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+
+
 def parse_config(text: str) -> list[ScenarioConfig]:
     """Parse a YAML config document into fully resolved scenarios.
 
@@ -182,11 +198,13 @@ def parse_config(text: str) -> list[ScenarioConfig]:
     scenario index and field name; an empty document parses to no scenarios.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"invalid YAML{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("invalid YAML: nested too deeply to read") from exc
     if doc is None:
         return []
     if not isinstance(doc, dict):

@@ -240,6 +240,15 @@ def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
     assert "raise eta" not in message
 
 
+@pytest.mark.parametrize("bath", [BathSpec(), BathSpec(lambda_cutoff=1e-9, memory="non_markov")],
+                         ids=["markov", "memory"])
+def test_ode_work_budget_over_the_grid_points_advises_fewer(bath):
+    # 200001 intervals, none split: the count prints whole, and only fewer points help
+    with pytest.raises(ValueError, match="200001 Magnus substeps to reach t = 1, over the budget of 200000") as info:
+        propagate_grid(bath, make_state(StateSpec("ghz")), np.linspace(0.0, 1.0, 200002), "ode")
+    assert str(info.value).endswith("; use fewer grid points or engine closed_form")
+
+
 @pytest.mark.parametrize("eta, lam, kbt, engine, error", [
     (1e-300, 1e-300, 1e-3, "ode", None),  # lambda ** -2 raised OverflowError; a numpy power gives inf
     (1e-300, 1e-300, 1e30, "closed_form", "bath kernels overflow"),  # the Stirling shift took ceil(-inf)

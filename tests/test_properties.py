@@ -6,7 +6,8 @@ faster path must reproduce it bit for bit.  The two engines are checked
 against each other on drawn baths, and both keep the diagonal of rho0 bit
 for bit.
 Every config over the whole numeric domain either runs or fails naming a
-field, and a failing property prints its falsifying example.
+field and reads as PyYAML's pure-Python safe loader reads it, and a failing
+property prints its falsifying example.
 """
 
 import math
@@ -14,13 +15,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence, markov_rate
 from tridephase.dynamics import ENGINES, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
-from tridephase.runner import ConfigError, parse_config, run_scenarios
+from tridephase.runner import ConfigError, _Loader, parse_config, run_scenarios
 from tridephase.states import MIXED_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
 pytest_plugins = ["pytester"]
@@ -186,19 +188,31 @@ config_domain = st.fixed_dictionaries({
 })
 
 
+def config_text(cfg):
+    """One scenario's config document, output x.csv."""
+    # YAML 1.1 reads a float only with a dot and a signed exponent, as .17e writes it
+    numbers = ("eta", "lambda", "kbt", "t_max") + (("p",) if cfg["state"] in MIXED_STATE_NAMES else ())
+    fields = [f"{key}: {cfg[key]:.17e}" for key in numbers]
+    fields += [f"{key}: {cfg[key]}" for key in ("state", "topology", "memory", "n_points", "engine")]
+    return "scenarios:\n  - {%s, output: x.csv}\n" % ", ".join(fields)
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(config_domain)
+def test_every_config_reads_as_the_python_safe_loader_reads_it(cfg):
+    text = config_text(cfg)
+    assert yaml.load(text, Loader=_Loader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
 @settings(max_examples=300, deadline=2000, derandomize=True, database=None)
 # rounded phases leave star's min eigenvalue near -2e-8, past what C_R allows
 @example({"state": "star", "p": 1.0, "topology": "local", "memory": "markov", "eta": 1.0,
           "lambda": 0.01, "kbt": 5.7e-19, "t_max": 5.6e-9, "n_points": 201, "engine": "closed_form"})
 @given(config_domain)
 def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
-    # YAML 1.1 reads a float only with a dot and a signed exponent, as .17e writes it
-    numbers = ("eta", "lambda", "kbt", "t_max") + (("p",) if cfg["state"] in MIXED_STATE_NAMES else ())
-    fields = [f"{key}: {cfg[key]:.17e}" for key in numbers]
-    fields += [f"{key}: {cfg[key]}" for key in ("state", "topology", "memory", "n_points", "engine")]
     with tempfile.TemporaryDirectory() as out:
         try:
-            (result,) = run_scenarios(parse_config("scenarios:\n  - {%s, output: x.csv}\n" % ", ".join(fields)), out)
+            (result,) = run_scenarios(parse_config(config_text(cfg)), out)
             error = result.error
         except ConfigError as exc:
             error = exc

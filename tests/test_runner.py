@@ -1,9 +1,14 @@
+import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tridephase import runner
 from tridephase.bath import BathSpec
@@ -192,10 +197,56 @@ def test_parse_allows_a_bare_defaults_key():
     assert len(parse_config(f"defaults:\n{MINIMAL}")) == 1
 
 
-def test_readme_config_parses():
+def readme_config():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
-    assert len(parse_config(block)) == 14
+    return block
+
+
+def test_readme_config_parses():
+    assert len(parse_config(readme_config())) == 14
+
+
+def benchmark_configs():
+    """The config of each benchmark workload at seeds 0 and 1, by id."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {f"{name}-{seed}": workloads.config_text(workloads.generate(name, seed))
+            for name in workloads.GENERATORS for seed in (0, 1)}
+
+
+@pytest.mark.parametrize("text", [pytest.param(text, id=name) for name, text in
+                                  {**benchmark_configs(), "readme": readme_config()}.items()])
+def test_loader_reads_as_the_python_safe_loader(text):
+    doc = yaml.load(text, Loader=runner._Loader)
+    assert doc["scenarios"] and doc == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_parse_never_runs_the_python_scanner(monkeypatch):
+    def scanner(*args):
+        raise AssertionError("pure-Python YAML scanner")
+
+    monkeypatch.setattr(yaml.scanner.Scanner, "__init__", scanner)
+    assert len(parse_config(readme_config())) == 14
+
+
+def test_parse_accepts_a_tab_after_a_key():
+    # libyaml takes a tab as separation here; PyYAML's Python scanner refused it
+    (scenario,) = parse_config("scenarios:\n  - state:\tghz\n    topology: common\n    memory: markov\n")
+    assert scenario.state == StateSpec("ghz")
+
+
+@pytest.mark.parametrize("depth", [2000, 50000])
+def test_cli_deeply_nested_config_exits_two(tmp_path, depth):
+    # in a child process, as a crash on the C stack would end the process
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text("scenarios: " + "[" * depth + "]" * depth + "\n")
+    src = str(Path(runner.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "tridephase.cli", "run", str(cfg), "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "error: invalid YAML: nested too deeply to read\n")
 
 
 def test_parse_rejects_output_in_defaults():
