@@ -105,7 +105,7 @@ class ScenarioConfig:
             raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {self.engine!r}")
         # a plain file name, so that every CSV lands inside the output directory
         if (not isinstance(self.output, str) or self.output in ("", ".", "..")
-                or "/" in self.output or "\\" in self.output):
+                or any(c in self.output for c in "/\\\0")):
             raise ValueError(f"field 'output': must be a plain file name, got {self.output!r}")
 
 
@@ -240,28 +240,18 @@ def parse_config(text: str) -> list[ScenarioConfig]:
     return scenarios
 
 
-def _sig9(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def trace_csv_bytes(scenario: ScenarioConfig, gamma0_t, values) -> bytes:
     """Render the C_R ``values`` of one scenario on its gamma0*t grid in the byte-stable CSV layout."""
-    state, bath = scenario.state, scenario.bath
-    lines = [
-        f"# state={state.name}",
-        f"# p={_sig9(state.p)}",
-        f"# topology={bath.topology}",
-        f"# memory={bath.memory}",
-        f"# eta={_sig9(bath.eta)}",
-        f"# lambda={_sig9(bath.lambda_cutoff)}",
-        f"# kbt={_sig9(bath.kbt)}",
-        f"# engine={scenario.engine}",
-        "gamma0_t,C_R",
-    ]
     if len(gamma0_t) != len(values):
         raise ValueError(f"{len(gamma0_t)} grid points but {len(values)} C_R values")
-    lines.extend(f"{_sig9(t)},{_sig9(c)}" for t, c in zip(gamma0_t, values))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    state, bath = scenario.state, scenario.bath
+    # one % over the interleaved (gamma0_t, C_R) rows; % and format(x, ".9g")
+    # print a float alike
+    rows = np.array((gamma0_t, values), dtype=float).T.ravel().tolist()
+    return (f"# state={state.name}\n# p={state.p:.9g}\n# topology={bath.topology}\n"
+            f"# memory={bath.memory}\n# eta={bath.eta:.9g}\n# lambda={bath.lambda_cutoff:.9g}\n"
+            f"# kbt={bath.kbt:.9g}\n# engine={scenario.engine}\ngamma0_t,C_R\n"
+            + "%.9g,%.9g\n" * len(values) % tuple(rows)).encode("ascii")
 
 
 def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
@@ -269,8 +259,9 @@ def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
     values = coherence_trace(scenario.bath, scenario.state, grid, scenario.engine)
     path = out_dir / scenario.output
     # render into a temp file beside the target and rename it into place, so
-    # a failure never leaves a partial CSV
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # a failure never leaves a partial CSV; the temp name is short and random,
+    # so any name the directory takes is writable
+    tmp = out_dir / f".{os.urandom(8).hex()}.tmp"
     try:
         tmp.write_bytes(trace_csv_bytes(scenario, grid, values))
         os.replace(tmp, path)

@@ -87,17 +87,21 @@ def test_eigendecomposition_maximally_mixed():
 
 def test_eigendecomposition_descending_order():
     # the entropy sums the spectrum largest first, the order the reference CSVs
-    # hold; with five nonzero terms numpy sums left to right, and at this seed
-    # the ascending sum differs in the last bit
+    # hold.  Here five exact eigenvalues of 1e-18 add terms of 4.1e-17 each:
+    # more than half a unit in the last place of the 0.9/0.1 block's entropy
+    # (0.325) and less than half a unit of the populations' (0.693).  Largest
+    # first, each rounds up the first sum and vanishes from the second;
+    # smallest first, they add up before either.  The two orders end 6 units
+    # in the last place apart, and still 5 with the block's eigenvalues moved
+    # by up to 4 units each, so the example does not rest on how a BLAS kernel
+    # rounds them
     def entropy(spectrum):
         positive = spectrum[spectrum > 0.0]
         return -np.sum(positive * np.log(positive))
 
-    rng = np.random.default_rng(2)
-    a = np.zeros((8, 8), complex)
-    a[:5, :5] = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
+    rho = np.zeros((8, 8), complex)
+    rho[:2, :2] = [[0.5, 0.4], [0.4, 0.5]]
+    rho[2:7, 2:7] = np.diag(np.full(5, 1e-18))
     populations, spectrum = np.sort(np.diag(rho).real), np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
     descending = entropy(populations[::-1]) - entropy(spectrum[::-1])
     assert descending != entropy(populations) - entropy(spectrum)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import re
@@ -255,13 +256,14 @@ def test_parse_rejects_output_in_defaults():
 
 
 ESCAPING_OUTPUTS = ["../escaped.csv", "/tmp/escaped.csv", "sub/escaped.csv",
-                    "..\\escaped.csv", ".", ".."]
+                    "..\\escaped.csv", ".", "..", "a\0b.csv"]
 
 
 @pytest.mark.parametrize("output", ESCAPING_OUTPUTS)
 def test_parse_rejects_output_that_is_not_a_plain_file_name(output):
-    text = f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, output: '{output}'}}\n"
-    with pytest.raises(ConfigError, match="scenario 1: field 'output'"):
+    # a JSON string is a YAML double-quoted scalar, which can spell a NUL byte
+    text = f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, output: {json.dumps(output)}}}\n"
+    with pytest.raises(ConfigError, match="scenario 1: field 'output': must be a plain file name"):
         parse_config(text)
 
 
@@ -338,6 +340,40 @@ def test_csv_rejects_values_that_do_not_match_the_grid():
             trace_csv_bytes(scenario, grid, values)
 
 
+def per_value_csv_bytes(scenario, gamma0_t, values):
+    """Reference rendering of trace_csv_bytes: one format(x, ".9g") per number."""
+    def sig9(x):
+        return format(float(x), ".9g")
+
+    state, bath = scenario.state, scenario.bath
+    lines = [f"# state={state.name}", f"# p={sig9(state.p)}", f"# topology={bath.topology}",
+             f"# memory={bath.memory}", f"# eta={sig9(bath.eta)}", f"# lambda={sig9(bath.lambda_cutoff)}",
+             f"# kbt={sig9(bath.kbt)}", f"# engine={scenario.engine}", "gamma0_t,C_R"]
+    lines += [f"{sig9(t)},{sig9(c)}" for t, c in zip(gamma0_t, values)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# zero, the smallest subnormal and normal, a rounding carry, the largest float
+EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 9.9999999995, 1e300, 1.7976931348623157e308]
+
+
+def test_csv_renders_edge_values_as_format_does():
+    # every edge value in both columns and in each header number
+    scenario = ScenarioConfig(state=StateSpec("werner-w", 2.2250738585072014e-308),
+                              bath=BathSpec(eta=5e-324, lambda_cutoff=1.7976931348623157e308,
+                                            kbt=9.9999999995, topology="local", memory="non_markov"),
+                              t_max=1e300, n_points=2, engine="ode", output="edge.csv")
+    grid, values = np.repeat(EDGE_VALUES, len(EDGE_VALUES)), np.tile(EDGE_VALUES, len(EDGE_VALUES))
+    assert trace_csv_bytes(scenario, grid, values) == per_value_csv_bytes(scenario, grid, values)
+
+
+def test_csv_renders_the_largest_grid_as_format_does():
+    scenario, _, _ = w_trace()
+    grid = np.linspace(0.0, 3.0, MAX_N_POINTS)
+    values = 10.0 ** np.random.default_rng(0).uniform(-300.0, 300.0, MAX_N_POINTS)
+    assert trace_csv_bytes(scenario, grid, values) == per_value_csv_bytes(scenario, grid, values)
+
+
 # ------------------------------------------------------------------ running
 
 def test_run_scenarios_writes_files(tmp_path):
@@ -404,6 +440,17 @@ scenarios:
     assert not any(r.ok for r in results)
     assert sorted(p.name for p in tmp_path.iterdir()) == [kept.output]
     assert (tmp_path / kept.output).read_bytes() == b"old\n"
+
+
+def test_longest_file_name_is_written_without_a_temp_file(tmp_path):
+    # 255 bytes is the longest name ext4 and tmpfs take; the temp file beside
+    # it must not be longer
+    output = "a" * 251 + ".csv"
+    scenario, = parse_config(f"scenarios:\n  - {{state: w, topology: common, memory: markov, "
+                             f"n_points: 4, output: {output}}}\n")
+    result, = run_scenarios([scenario], tmp_path)
+    assert result.ok, result.error
+    assert [p.name for p in tmp_path.iterdir()] == [output]
 
 
 # ------------------------------------------------------------------ figures
@@ -527,7 +574,7 @@ def test_cli_rejects_escaping_output(tmp_path, capsys, output):
     if output.startswith("/"):
         output = str(root / "escaped.csv")
     cfg.write_text(f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, "
-                   f"n_points: 3, output: '{output}'}}\n")
+                   f"n_points: 3, output: {json.dumps(output)}}}\n")
     assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert "output" in capsys.readouterr().err
     assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["a", "a/out", "cfg.yaml"]
