@@ -1,23 +1,21 @@
 """Propagation of the three-qubit register under pure dephasing.
 
-Two engines solve the same master equations.  "closed_form" exponentiates
-the elementwise solution
+Each matrix element obeys its own scalar equation, so both engines return
+the same thing, a table of exponents E_mn(t), and the states are
+rho_mn(t) = rho_mn(0) * exp(E_mn(t)).  "closed_form" takes E from the
+elementwise solution
 
-    local:  rho_mn(t) = rho_mn(0) * exp(-i w0/2 (Z_m - Z_n) t
-                                        - sum_i 2 [bit_i differs] Gamma_i(t))
-    common: rho_mn(t) = rho_mn(0) * exp(-i w0/2 (Z_m - Z_n) t
-                                        + i (Z_m^2 - Z_n^2) M(t)
-                                        - (Z_m - Z_n)^2 / 2 * Gamma(t))
+    local:  E_mn(t) = -i w0/2 (Z_m - Z_n) t - sum_i 2 [bit_i differs] Gamma_i(t)
+    common: E_mn(t) = -i w0/2 (Z_m - Z_n) t + i (Z_m^2 - Z_n^2) M(t)
+                      - (Z_m - Z_n)^2 / 2 * Gamma(t)
 
 while "ode" integrates the dissipator of the master equation with
-fixed-step fourth-order Magnus in the frame that rotates with the free phase
-exp(-i w0/2 (Z_m - Z_n) t), one scalar equation per class of equal
-elementwise rates (the kernel rows gamma(t), mu(t) times the class's
-weights), each the exp of its rate's Simpson-rule integral; that phase is
-multiplied back in exactly on output and drops out of every coherence
-measure.  Each engine builds its own topology table once, at import, the
-ode's off the dissipator's operator form, so each one checks the other.
-Z_m is the collective sigma_z eigenvalue of basis index m.
+fixed-step fourth-order Magnus in the frame that rotates with the free
+phase: E is that phase plus the Simpson-rule integrals of the kernel rows
+gamma(t), mu(t) times each element's weights.  Each engine builds its own
+topology table once, at import, the ode's off the dissipator's operator
+form, so each one checks the other.  Z_m is the collective sigma_z
+eigenvalue of basis index m.
 """
 
 from __future__ import annotations
@@ -56,22 +54,15 @@ _DISSIPATORS = {
                lambda rho: 1j * (_SZ @ _SZ @ rho - rho @ _SZ @ _SZ)),
     "local": (lambda rho: sum(s @ rho @ s - rho for s in _SZ_LOCAL), lambda rho: 0.0 * rho),
 }
-# the ode engine's table of (W_g, W_mu) classes: a Schur multiplier's weights are its image of ones
-_RATE_CLASSES = {topology: np.unique(np.stack([apply(np.ones((8, 8))) for apply in maps]).reshape(2, 64),
-                                     axis=1, return_inverse=True) for topology, maps in _DISSIPATORS.items()}
+# the ode engine's table of weights (W_g, W_mu) on each rho_mn: a Schur multiplier's weights are its image of ones
+_WEIGHTS = {topology: np.stack([apply(np.ones((8, 8))) for apply in maps]).reshape(2, 64)
+            for topology, maps in _DISSIPATORS.items()}
 # the closed form's table: the weight of Gamma(t) (2 per flipped bit with local baths) and of M(t)
 _DECAY = {"common": _DZ.astype(float) ** 2 / 2.0,
           "local": 2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)}
 _ZSQ = _Z[:, None] ** 2 - _Z[None, :] ** 2
 _OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
              "kbt = {b.kbt:g}; shorten t_max or change them")
-
-
-def _finite(table: np.ndarray, bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """A table of a grid (exponential factors or phases), or ValueError naming the bath if it overflowed."""
-    if np.isfinite(table).all():
-        return table
-    raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec))
 
 
 def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
@@ -93,37 +84,33 @@ def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
     return np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
 
 
-def _ode_grid(bspec: BathSpec, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Integrate the dissipator in the frame rotating with the free phase,
-    then multiply that phase back in exactly.  Elements with the same rate
-    gamma(t) W_g + mu(t) W_mu (a class of _RATE_CLASSES) share one equation."""
-    classes, inverse = _RATE_CLASSES[bspec.topology]
+def _ode_exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """The exponent table of _exponents, by the ode engine: the Magnus integrals of the
+    dissipator's rates gamma(t) W_g + mu(t) W_mu, plus the free phase of the rotating frame."""
     # the Magnus step: with memory 0.05/lambda, as the kernels' nearest complex-time pole lies 1/lambda
     # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
     step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
     try:
-        factors = ode_propagate(partial(_kernel_rows, bspec), classes, times, step)
+        integrals = ode_propagate(partial(_kernel_rows, bspec), times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call
         # with no interval split, the grid's points alone are over the budget
         advice = ("use fewer grid points or engine closed_form" if np.all(np.diff(times) <= step)
                   else "lower lambda, shorten t_max or use engine closed_form")
         raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
                          f"kbt = {bspec.kbt:g}; {advice}") from exc
-    except RuntimeError as exc:  # non-finite kernel rows make non-finite factors
-        raise ValueError(_OVERFLOW.format(t=times[-1], b=bspec)) from exc
-    phases = _finite(-0.5j * OMEGA0 * times[:, None, None] * _DZ, bspec, times)
-    return rho0 * factors[:, inverse.reshape(8, 8)] * np.exp(phases)
+    return (-0.5j * OMEGA0 * times[:, None, None]) * _DZ + (integrals @ _WEIGHTS[bspec.topology]).reshape(-1, 8, 8)
 
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
     """The states from a complex 8x8 rho0 on a checked time grid, by the named engine, after checking
-    the engine but neither rho0 nor the output; numpy's warnings are left to the engines' checks."""
+    the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check."""
     if engine not in ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if engine == "closed_form":
-            return rho0 * _finite(np.exp(_exponents(bath, times)), bath, times)
-        return _ode_grid(bath, rho0, times)
+        factors = np.exp((_exponents if engine == "closed_form" else _ode_exponents)(bath, times))
+        if not np.isfinite(factors).all():
+            raise ValueError(_OVERFLOW.format(t=times[-1], b=bath))
+        return rho0 * factors
 
 
 def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> np.ndarray:

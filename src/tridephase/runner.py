@@ -58,10 +58,10 @@ __all__ = [
 
 DEFAULT_N_POINTS = 201
 # grid points per trace, for configs and --points alike.  At the bound a ghz
-# trace takes 10-13 s closed-form or 13-15 s with ode, and the process peaks at
-# 380-420 MB resident (2-core host, one BLAS thread): 360 MB traced, the 102 MB
-# state stack plus 256 MB of temporaries while the exponents or the residuals
-# of that stack are formed
+# trace takes 6.5-7.5 s with either engine, and the process peaks at 380-400 MB
+# resident (2-core host, one BLAS thread): the 102 MB state stack plus the
+# temporaries while the exponents, their exp or the residuals of that stack
+# are formed
 MAX_N_POINTS = 100_001
 # default plot windows in gamma0*t, by memory mode
 DEFAULT_T_MAX = {"markov": 3.0, "non_markov": 0.2}

@@ -296,6 +296,23 @@ def test_ode_kernel_rows_must_be_finite(monkeypatch):
         coherence_trace(BathSpec(), StateSpec("ghz"), [0.0, 0.2], "ode")
 
 
+@pytest.mark.parametrize("entry", ["propagate_grid", "coherence_trace"])
+@pytest.mark.parametrize("engine, kernel", [("closed_form", "cumulative_decoherence"), ("ode", "dephasing_rate")])
+def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, engine, kernel, entry):
+    # each engine's inf kernel makes non-finite factors, which the one check reports
+    # by the same text, raised afresh rather than translated from another error
+    monkeypatch.setattr(dynamics, kernel, lambda bspec, t: np.full(np.shape(t), np.inf))
+    bath = BathSpec(memory="non_markov")
+    times = np.linspace(0.0, 0.2, 5) / G0
+    expected = dynamics._OVERFLOW.format(t=times[-1], b=bath)
+    with pytest.raises(ValueError) as info:
+        if entry == "propagate_grid":
+            propagate_grid(bath, make_state(StateSpec("ghz")), times, engine)
+        else:
+            coherence_trace(bath, StateSpec("ghz"), times * G0, engine)
+    assert str(info.value) == expected and info.value.__context__ is None
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
     # gamma0 = 4 pi eta kbt is subnormal; the ODE step of a Markov bath is inf and divides by no rate
@@ -306,9 +323,9 @@ def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
     assert abs(rhos[-1, 0, 7]) == pytest.approx(0.5)
 
 
-def test_ode_peak_memory_is_bounded_by_blocks():
-    # one 80-long interval of a constant Markov rate is one block of one Magnus
-    # substep, whose Simpson integral is exact
+def test_ode_long_markov_interval_is_one_substep_in_small_memory():
+    # one 80-long interval of a constant Markov rate is one Magnus substep, whose
+    # Simpson integral is exact, so its tables stay small
     rho0 = make_state(StateSpec("ghz"))
     tracemalloc.start()
     try:
@@ -330,31 +347,28 @@ def element_weights(topology):
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_dissipator_weights_are_read_off_the_operator_form(topology):
-    classes, inverse = dynamics._RATE_CLASSES[topology]
-    assert np.array_equal(classes[:, inverse.reshape(8, 8)], element_weights(topology))
+    assert np.array_equal(dynamics._WEIGHTS[topology].reshape(2, 8, 8), element_weights(topology))
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_dissipators_are_schur_multipliers(topology):
     # each shipped map sends every basis matrix E_mn to a multiple of itself,
-    # the weight its rate class holds for rho_mn; the image of the all-ones
-    # matrix gives the weights only for such a map
-    classes, inverse = dynamics._RATE_CLASSES[topology]
+    # the weight _WEIGHTS holds for rho_mn; the image of the all-ones matrix
+    # gives the weights only for such a map
     basis = np.eye(64).reshape(64, 8, 8)
-    for apply, weights in zip(dynamics._DISSIPATORS[topology], classes[:, inverse.reshape(64)], strict=True):
+    for apply, weights in zip(dynamics._DISSIPATORS[topology], dynamics._WEIGHTS[topology], strict=True):
         images = apply(basis).reshape(64, 64)
         assert not np.any(images[~np.eye(64, dtype=bool)]), "the map moves weight off its element"
         assert np.array_equal(images.diagonal(), weights)
 
 
 def test_traces_read_the_topology_tables_built_at_import(monkeypatch):
-    # no trace applies a dissipator map or regroups the rate classes
+    # no trace applies a dissipator map
     def refuse(*args, **kwargs):
         raise AssertionError("a trace rebuilt a topology table")
 
     for topology in TOPOLOGIES:
         monkeypatch.setitem(dynamics._DISSIPATORS, topology, (refuse, refuse))
-    monkeypatch.setattr(np, "unique", refuse)
     for engine in ENGINES:
         for topology in TOPOLOGIES:
             values = coherence_trace(BathSpec(topology=topology), StateSpec("ghz"), np.linspace(0.0, 1.0, 5), engine)
@@ -373,31 +387,6 @@ def test_engines_emit_exactly_hermitian_stacks(engine):
         assert np.array_equal(rhos, rhos.conj().swapaxes(1, 2)), (topology, memory, kwargs, name)
 
 
-@pytest.mark.parametrize("topology, classes", [("common", 7), ("local", 4)])
-def test_ode_integrates_one_equation_per_rate_class(monkeypatch, topology, classes):
-    # elements with the same (W_g, W_mu) weights share one equation; the result
-    # must match integrating all 64 elements at their own rates
-    calls = []
-
-    def recording(coefficients, weights, grid, max_step):
-        calls.append((coefficients, weights, grid, max_step))
-        return ode_propagate(coefficients, weights, grid, max_step)
-
-    monkeypatch.setattr(dynamics, "ode_propagate", recording)
-    v = np.random.default_rng(3).normal(size=(8, 2)) @ [1.0, 1j]
-    rho0 = np.outer(v, v.conj()) / np.vdot(v, v).real
-    times = np.linspace(0.0, 0.2, 41) / G0
-    bath = BathSpec(topology=topology, memory="non_markov")
-    rhos = propagate_grid(bath, rho0, times, "ode")
-
-    ((coefficients, weights, grid, max_step),) = calls
-    assert weights.shape == (2, classes)
-    ref = ode_propagate(coefficients, element_weights(topology).reshape(2, 64), grid, max_step)
-    z = dynamics._Z
-    ref = rho0 * ref.reshape(-1, 8, 8) * np.exp(-0.5j * OMEGA0 * grid[:, None, None] * (z[:, None] - z[None, :]))
-    assert np.max(np.abs(rhos - ref)) < 1e-15
-
-
 @pytest.mark.parametrize("topology, memory, substeps", [
     ("common", "markov", 200),
     ("local", "markov", 200),
@@ -410,11 +399,11 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
     # the spacing 0.01 of the 200 intervals to t = 2
     taken = []
 
-    def counting(coefficients, weights, grid, max_step):
+    def counting(coefficients, grid, max_step):
         def table(stages):
             taken.append(len(stages))
             return coefficients(stages)
-        return ode_propagate(table, weights, grid, max_step)
+        return ode_propagate(table, grid, max_step)
 
     monkeypatch.setattr(dynamics, "ode_propagate", counting)
     coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"),
@@ -496,15 +485,15 @@ def test_propagate_grid_validation(grid):
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid)
 
 
-def spoil_exponents(monkeypatch, k, add):
-    """Make the closed form add ``add`` (8x8) to the exponents of sample k."""
-    exponents = dynamics._exponents
+def spoil_exponents(monkeypatch, k, add, table="_exponents"):
+    """Make an engine's exponent table (the closed form's by default) add ``add`` from sample k on."""
+    exponents = getattr(dynamics, table)
 
     def spoiled(*args):
         expo = exponents(*args)
-        expo[k] += add
+        expo[k:] += add
         return expo
-    monkeypatch.setattr(dynamics, "_exponents", spoiled)
+    monkeypatch.setattr(dynamics, table, spoiled)
 
 
 def test_output_invariant_check_trips_on_corruption(monkeypatch):
@@ -522,17 +511,17 @@ def test_output_invariant_check_trips_on_corruption(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 117, 200])
-@pytest.mark.parametrize("factor", [np.nan, 1.01])
-def test_output_check_names_the_first_bad_sample(monkeypatch, factor, k):
-    # the ODE's factors go bad from sample k on; the one stack check names
+@pytest.mark.parametrize("add", [np.nan, np.log(1.01)], ids=["nan", "1.01"])
+def test_output_check_names_the_first_bad_sample(monkeypatch, add, k):
+    # the ODE's exponents go bad from sample k on: nan factors are the bath's
+    # overflow, and states grown by 1.01 fail the one stack check, which names
     # that sample's t as :g
-    def spoiled(*args, **kwargs):
-        factors = ode_propagate(*args, **kwargs)
-        factors[k:] *= factor
-        return factors
-
-    monkeypatch.setattr(dynamics, "ode_propagate", spoiled)
+    spoil_exponents(monkeypatch, k, add, "_ode_exponents")
     times = np.linspace(0.0, 3.0, 201) / G0
+    if np.isnan(add):
+        with pytest.raises(ValueError, match=f"^bath kernels overflow on the grid to t = {times[-1]:g} at eta = 0.1"):
+            propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
+        return
     with pytest.raises(RuntimeError) as info:
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
     assert f"propagated state at t={times[k]:g} violates" in str(info.value)

@@ -155,25 +155,30 @@ def stage_times(stages):
     return stages[..., None]
 
 
+def solve(coefficients, weights, grid, max_step):
+    """y = exp(int_0^t c ds @ weights) at every grid point, which solves dy/dt = (c(t) @ weights) * y from y = 1."""
+    return np.exp(ode_propagate(coefficients, grid, max_step) @ weights)
+
+
 def weight(rate):
     """The (1, 1) weights of the one equation dy/dt = rate * c(t) * y."""
     return np.array([[rate]])
 
 
 def test_ode_linear_decay():
-    ys = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)
+    ys = solve(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)
     assert ys.shape == (2, 1)
     assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
 def test_ode_time_dependent_coefficient():
     # dy/dt = -2 t y has solution exp(-t^2)
-    ys = ode_propagate(stage_times, weight(-2.0), [0.0, 1.0], max_step=0.01)
+    ys = solve(stage_times, weight(-2.0), [0.0, 1.0], max_step=0.01)
     assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
 def test_ode_slow_decay_long_window():
-    ys = ode_propagate(ones, weight(-0.2), [0.0, 5.0], max_step=0.05)
+    ys = solve(ones, weight(-0.2), [0.0, 5.0], max_step=0.05)
     assert abs(ys[-1, 0] - E_INV) < 1e-7
 
 
@@ -185,7 +190,7 @@ def test_ode_fourth_order_convergence():
     exact = math.exp(-math.sin(3.0) / 3.0)
     errs = []
     for h in (0.2, 0.1):
-        ys = ode_propagate(cos3, weight(-1.0), [0.0, 1.0], max_step=h)
+        ys = solve(cos3, weight(-1.0), [0.0, 1.0], max_step=h)
         errs.append(abs(ys[-1, 0] - exact))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.8
@@ -198,20 +203,20 @@ def test_ode_cubic_rates_are_exact():
         return np.stack([np.ones_like(stages), stages, stages ** 2, stages ** 3], axis=-1)
 
     grid = np.linspace(0.0, 1.0, 6)
-    ys = ode_propagate(cubic, np.array([[1.0], [-2.0], [3.0], [-4.0]]), grid, max_step=np.inf)
+    ys = solve(cubic, np.array([[1.0], [-2.0], [3.0], [-4.0]]), grid, max_step=np.inf)
     exact = np.exp(grid - grid ** 2 + grid ** 3 - grid ** 4)
     assert np.max(np.abs(ys[:, 0] - exact)) < 1e-15
 
 
 def test_ode_step_refinement_is_converged():
-    coarse = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)[-1, 0]
-    fine = ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.005)[-1, 0]
+    coarse = solve(ones, weight(-1.0), [0.0, 1.0], max_step=0.01)[-1, 0]
+    fine = solve(ones, weight(-1.0), [0.0, 1.0], max_step=0.005)[-1, 0]
     assert abs(coarse - fine) / abs(fine) < 1e-8
 
 
 def test_ode_samples_every_grid_point():
     grid = np.linspace(0.0, 2.0, 9)
-    ys = ode_propagate(ones, weight(-1.0), grid, max_step=0.01)
+    ys = solve(ones, weight(-1.0), grid, max_step=0.01)
     assert ys.shape == (9, 1)
     assert np.max(np.abs(ys[:, 0] - np.exp(-grid))) < 1e-8
 
@@ -223,7 +228,7 @@ def test_ode_without_a_step_bound_takes_one_substep_per_interval():
         stages.append(t)
         return ones(t)
 
-    ys = ode_propagate(table, weight(-1.0), [0.0, 0.5, 2.0], max_step=np.inf)
+    ys = solve(table, weight(-1.0), [0.0, 0.5, 2.0], max_step=np.inf)
     assert len(stages) == 1 and np.array_equal(stages[0], [[0.0, 0.25, 0.5], [0.5, 1.25, 2.0]])
     assert ys.shape == (3, 1) and ys[0, 0] == 1.0
 
@@ -236,38 +241,21 @@ def test_ode_without_a_step_bound_takes_one_substep_per_interval():
 ])
 def test_ode_grid_validation(grid):
     with pytest.raises(ValueError):
-        ode_propagate(ones, weight(-1.0), grid, max_step=0.01)
+        ode_propagate(ones, grid, max_step=0.01)
 
 
 def test_ode_rejects_bad_max_step():
     with pytest.raises(ValueError):
-        ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=0.0)
+        ode_propagate(ones, [0.0, 1.0], max_step=0.0)
     for step in (-0.01, float("nan")):
         with pytest.raises(ValueError, match="max_step must be >= 0"):
-            ode_propagate(ones, weight(-1.0), [0.0, 1.0], max_step=step)
+            ode_propagate(ones, [0.0, 1.0], max_step=step)
 
 
 def test_ode_direct_call_holds_the_substep_budget():
     # 1e310 substeps overflow to inf; an int cast would make the count negative
     with pytest.raises(ValueError, match="inf Magnus substeps to reach t = 1e\\+300, over the budget of 200000"):
-        ode_propagate(ones, weight(-1.0), [0.0, 1e300], 1e-10)
-
-
-def test_ode_blowup_reports_last_good_time():
-    # dy/dt = 1000 y: y = exp(1000 t) is about 1e217 at t = 0.5 and
-    # overflows past t = ln(max float) / 1000 = 0.7098, in the third interval
-    grid = np.linspace(0.0, 2.0, 5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"non-finite after t=0.5$"):
-            ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
-
-    # one substep per 0.005-long interval; exp(5 k) first overflows at sample k = 142
-    grid = np.linspace(0.0, 2.0, 401)
-    first_bad = math.floor(math.log(np.finfo(float).max) / 5.0) + 1
-    assert first_bad == 142
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=rf"non-finite after t={grid[first_bad - 1]:g}$"):
-            ode_propagate(ones, weight(1000.0), grid, max_step=0.01)
+        ode_propagate(ones, [0.0, 1e300], 1e-10)
 
 
 def test_ode_complex_rates_with_one_coefficient_call():
@@ -278,22 +266,22 @@ def test_ode_complex_rates_with_one_coefficient_call():
         calls.append(stages.shape)
         return -2.0 * stage_times(stages)
 
-    ys = ode_propagate(table, np.array([[1j, -1j]]), np.linspace(0.0, 1.0, 5), max_step=0.01)
+    ys = solve(table, np.array([[1j, -1j]]), np.linspace(0.0, 1.0, 5), max_step=0.01)
     assert ys.shape == (5, 2) and ys.dtype == complex
     assert calls == [(100, 3)]
     assert np.max(np.abs(ys[-1] - np.exp([-1j, 1j]))) < 1e-8
 
 
-def test_ode_blocks_run_on_across_interval_boundaries():
-    # a block of 600 substeps in the first interval and one of 25 in the second:
-    # the running integral carries on across the interval boundary
+def test_ode_integral_runs_on_across_interval_boundaries():
+    # 600 substeps in the first interval and 25 in the second, in one coefficient
+    # call: the running integral carries on across the interval boundary
     stages = []
 
     def table(t):
         stages.append(len(t))
         return ones(t)
 
-    ys = ode_propagate(table, weight(-1.0), [0.0, 6.0, 6.25], max_step=0.01)
+    ys = solve(table, weight(-1.0), [0.0, 6.0, 6.25], max_step=0.01)
     assert stages == [625]
     assert abs(ys[1, 0] - np.exp(-6.0)) < 1e-9
     assert abs(ys[-1, 0] - np.exp(-6.25)) < 1e-9
@@ -339,6 +327,6 @@ def test_ode_matches_per_substep_magnus_reference(case):
 
     grid = np.concatenate([[0.0], np.cumsum(case["spans"])])
     y0 = np.array([1.0, 0.5 - 0.5j, -2.0j])
-    ys = y0 * ode_propagate(rows, weights, grid, max_step=case["max_step"])
+    ys = y0 * solve(rows, weights, grid, max_step=case["max_step"])
     expected = magnus_reference(rows, weights, y0, grid, case["max_step"])
     assert np.max(np.abs(ys - expected) / np.abs(expected)) < 1e-13

@@ -41,3 +41,11 @@ def test_each_spectral_job_has_one_call_site():
             if name in callers:
                 callers[name].append(path.stem)
     assert callers == {"eigh": ["measures"], "eigvalsh": ["states"]}
+
+
+def test_both_engines_share_one_exp():
+    # each engine returns an exponent table, and dynamics._propagate takes the one exp
+    callers = [path.stem for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"]
+    assert callers == ["dynamics"]

@@ -149,7 +149,7 @@ def test_engines_agree_on_drawn_baths(sc):
     closed = propagate_grid(sc["bath"], rho0, times)
     ode = propagate_grid(sc["bath"], rho0, times, "ode")
     assert np.max(np.abs(closed - ode)) < TOL
-    # the zero-rate class has a factor of exactly 1, so populations never move
+    # the diagonal's weights and phase are 0, so its factor is exactly 1 and populations never move
     assert np.array_equal(ode.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
 
