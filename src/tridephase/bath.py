@@ -78,10 +78,10 @@ class BathSpec:
 
     def __post_init__(self):
         # stored as floats: a huge int would overflow inside numpy's kernels
-        object.__setattr__(self, "eta", check_number("'eta'", self.eta, 0.0))
+        object.__setattr__(self, "eta", check_number("'eta'", self.eta))
         object.__setattr__(self, "lambda_cutoff",
-                           check_number("'lambda' (lambda_cutoff)", self.lambda_cutoff, 0.0, strict=True))
-        object.__setattr__(self, "kbt", check_number("'kbt'", self.kbt, 0.0, strict=True))
+                           check_number("'lambda' (lambda_cutoff)", self.lambda_cutoff, strict=True))
+        object.__setattr__(self, "kbt", check_number("'kbt'", self.kbt, strict=True))
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"field 'topology': must be one of {', '.join(TOPOLOGIES)}; got {self.topology!r}")
         if self.memory not in MEMORIES:

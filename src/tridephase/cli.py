@@ -82,7 +82,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            scenarios = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                                  f"at offset {exc.start}") from exc
+            scenarios = parse_config(text)
         else:
             scenarios = figure_scenarios(args.figure)
         results = run_scenarios(_apply_overrides(scenarios, args.engine, args.points), args.out_dir)

@@ -1,18 +1,17 @@
 """Propagation of the three-qubit register under pure dephasing.
 
-Each matrix element obeys its own scalar equation, so both engines return
-the same thing, a table of exponents E_mn(t), and the states are
-rho_mn(t) = rho_mn(0) * exp(E_mn(t)).  "closed_form" takes E from the
-elementwise solution
+Each matrix element obeys its own scalar equation, so the states are
+rho_mn(t) = rho_mn(0) * exp(-i w0/2 (Z_m - Z_n) t + E_mn(t)): the free
+phase, which the propagation adds, and the bath's exponent E, a table that
+both engines return.  "closed_form" takes E from the elementwise solution
 
-    local:  E_mn(t) = -i w0/2 (Z_m - Z_n) t - sum_i 2 [bit_i differs] Gamma_i(t)
-    common: E_mn(t) = -i w0/2 (Z_m - Z_n) t + i (Z_m^2 - Z_n^2) M(t)
-                      - (Z_m - Z_n)^2 / 2 * Gamma(t)
+    local:  E_mn(t) = - sum_i 2 [bit_i differs] Gamma_i(t)
+    common: E_mn(t) = i (Z_m^2 - Z_n^2) M(t) - (Z_m - Z_n)^2 / 2 * Gamma(t)
 
 while "ode" integrates the dissipator of the master equation with
 fixed-step fourth-order Magnus in the frame that rotates with the free
-phase: E is that phase plus the Simpson-rule integrals of the kernel rows
-gamma(t), mu(t) times each element's weights.  Each engine builds its own
+phase: E is the Simpson-rule integrals of the kernel rows gamma(t), mu(t)
+times each element's weights.  Each engine builds its own
 topology table once, at import, the ode's off the dissipator's operator
 form, so each one checks the other.  Z_m is the collective sigma_z
 eigenvalue of basis index m.
@@ -66,14 +65,12 @@ _OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g},
 
 
 def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """log of the factor multiplying rho_mn(0), shape (len(times), 8, 8).
+    """The bath's exponent table E, shape (len(times), 8, 8), from the closed form.
 
     One kernel call covers the whole grid; the broadcast expression applies
     the same operations in the same order to each sample.
     """
-    t = times[:, None, None]
-    big_gamma = cumulative_decoherence(bspec, times)[:, None, None]
-    expo = (-0.5j * OMEGA0 * t) * _DZ - _DECAY[bspec.topology] * big_gamma
+    expo = -_DECAY[bspec.topology] * cumulative_decoherence(bspec, times)[:, None, None]
     if bspec.topology == "common":
         expo = expo + (1j * lamb_kernel(bspec, times)[1][:, None, None]) * _ZSQ
     return expo
@@ -86,7 +83,7 @@ def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
 
 def _ode_exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """The exponent table of _exponents, by the ode engine: the Magnus integrals of the
-    dissipator's rates gamma(t) W_g + mu(t) W_mu, plus the free phase of the rotating frame."""
+    dissipator's rates gamma(t) W_g + mu(t) W_mu."""
     # the Magnus step: with memory 0.05/lambda, as the kernels' nearest complex-time pole lies 1/lambda
     # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
     step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
@@ -98,16 +95,17 @@ def _ode_exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
                   else "lower lambda, shorten t_max or use engine closed_form")
         raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
                          f"kbt = {bspec.kbt:g}; {advice}") from exc
-    return (-0.5j * OMEGA0 * times[:, None, None]) * _DZ + (integrals @ _WEIGHTS[bspec.topology]).reshape(-1, 8, 8)
+    return (integrals @ _WEIGHTS[bspec.topology]).reshape(-1, 8, 8)
 
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
-    """The states from a complex 8x8 rho0 on a checked time grid, by the named engine, after checking
-    the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check."""
+    """rho0 (complex 8x8) times exp(the free phase + the named engine's exponent table) on a checked time grid,
+    after checking the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check."""
     if engine not in ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        factors = np.exp((_exponents if engine == "closed_form" else _ode_exponents)(bath, times))
+        expo = (_exponents if engine == "closed_form" else _ode_exponents)(bath, times)
+        factors = np.exp((-0.5j * OMEGA0 * times[:, None, None]) * _DZ + expo)
         if not np.isfinite(factors).all():
             raise ValueError(_OVERFLOW.format(t=times[-1], b=bath))
         return rho0 * factors
@@ -117,17 +115,20 @@ def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> 
     """Evolve rho0 across a strictly increasing time grid starting at 0.
 
     Returns an (n, 8, 8) array of density matrices, one per grid point.  An
-    unknown engine, or a rho0 that fails the state invariants, raises ValueError;
-    an output outside STATE_BOUNDS, those of C_R, raises RuntimeError naming
-    the first such t.
+    unknown engine, a rho0 that is not an 8x8 matrix of numbers or fails the
+    state invariants, and an output outside STATE_BOUNDS, those of C_R, raise
+    ValueError; the output's names the first such t.
     """
     times = check_time(times, grid=True)
-    rho0 = np.asarray(rho0, dtype=complex)
+    try:
+        rho0 = np.asarray(rho0, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"rho0: expected an 8x8 matrix of numbers ({exc})") from exc
     if rho0.shape != (8, 8):
         raise ValueError(f"rho0: expected an 8x8 matrix, got shape {rho0.shape}")
-    check_states(rho0[None], (1e-12, 1e-12, 1e-10), ValueError, "rho0", times)
+    check_states(rho0[None], (1e-12, 1e-12, 1e-10), "rho0", times)
     out = _propagate(bath, rho0, times, engine)
-    check_states(out, STATE_BOUNDS, RuntimeError, "propagated state", times)
+    check_states(out, STATE_BOUNDS, "propagated state", times)
     return out
 
 
@@ -150,5 +151,5 @@ def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "c
     rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
     try:  # C_R's check is the output check, and the check of the catalog's rho0 (sample 0)
         return rel_entropy_coherence(rhos)
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc

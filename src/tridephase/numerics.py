@@ -39,18 +39,18 @@ _2K1 = _2K - 1.0
 _STIRLING_MIN = 16.0
 
 
-def check_number(field: str, value, low: float, strict: bool = False) -> float:
-    """A config number as a float: an int or a float, not a bool, finite (an int too
-    large for a float reads as inf), and >= low, or > low with ``strict``.  Else
-    ValueError("field <field>: ..."), with ``field`` printed as given (say "'eta'")."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def check_number(field: str, value, strict: bool = False) -> float:
+    """A config number as a Python float: an int or a float, Python's or a numpy scalar, not a
+    bool, finite (an int too large for a float reads as inf), and >= 0, or > 0 with ``strict``.
+    Else ValueError("field <field>: ..."), with ``field`` printed as given (say "'eta'")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"field {field}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
-    if not (math.isfinite(number) and (number > low if strict else number >= low)):
-        raise ValueError(f"field {field}: must be a finite number {'>' if strict else '>='} {low:g}, got {number!r}")
+    if not (math.isfinite(number) and (number > 0.0 if strict else number >= 0.0)):
+        raise ValueError(f"field {field}: must be a finite number {'>' if strict else '>='} 0, got {number!r}")
     return number
 
 

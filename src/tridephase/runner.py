@@ -98,9 +98,11 @@ class ScenarioConfig:
     output: str
 
     def __post_init__(self):
-        object.__setattr__(self, "t_max", check_number("'t_max'", self.t_max, 0.0, strict=True))
-        if not (isinstance(self.n_points, int) and 2 <= self.n_points <= MAX_N_POINTS):
+        object.__setattr__(self, "t_max", check_number("'t_max'", self.t_max, strict=True))
+        if (isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer))
+                or not 2 <= self.n_points <= MAX_N_POINTS):
             raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if self.engine not in ENGINES:
             raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {self.engine!r}")
         # a plain file name, so that every CSV lands inside the output directory

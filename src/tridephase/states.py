@@ -69,7 +69,7 @@ class StateSpec:
     def __post_init__(self):
         if self.name not in STATE_NAMES:
             raise ValueError(f"field 'state': unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
-        object.__setattr__(self, "p", check_number("'p'", self.p, 0.0))
+        object.__setattr__(self, "p", check_number("'p'", self.p))
         if self.p > 1.0:
             raise ValueError(f"field 'p': must lie in [0, 1], got {self.p!r}")
 
@@ -104,13 +104,13 @@ def residuals(rhos) -> np.ndarray:
     return out
 
 
-def check_states(rhos, bounds, error: type, what: str, times=None) -> None:
-    """Raise ``error`` for the first matrix of an (n, 8, 8) stack whose residuals
+def check_states(rhos, bounds, what: str, times=None) -> None:
+    """Raise ValueError for the first matrix of an (n, 8, 8) stack whose residuals
     exceed ``bounds``, named "<what> at t=<time>" with ``times``, else "<what> <index>"."""
     res = residuals(rhos)
     bad = np.flatnonzero(~np.all(res <= bounds, axis=1))
     if len(bad):
         herm, trace, negative = res[bad[0]]
         name = f"{what} at t={float(times[bad[0]]):g}" if times is not None else f"{what} {bad[0]}"
-        raise error(f"{name} violates density-matrix invariants: hermiticity "
-                    f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")
+        raise ValueError(f"{name} violates density-matrix invariants: hermiticity "
+                         f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")

@@ -267,6 +267,10 @@ def test_kernel_bundle_non_markov_matches_module_functions():
     {"kbt": 0.0},
     {"topology": "global"},
     {"memory": "nonmarkov"},
+    {"eta": np.float32(-0.1)},
+    {"lambda_cutoff": np.float64("nan")},
+    {"kbt": np.float32("inf")},
+    {"kbt": np.int64(0)},
 ])
 def test_bath_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -275,15 +279,18 @@ def test_bath_spec_validation(kwargs):
 
 @pytest.mark.parametrize("field", ["eta", "lambda_cutoff", "kbt"])
 def test_bath_spec_rejects_booleans(field):
-    with pytest.raises(ValueError, match=field):
-        BathSpec(**{field: True})
+    for value in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match=field):
+            BathSpec(**{field: value})
 
 
 def test_bath_spec_stores_floats():
     # an int within float range must not reach numpy as a Python int
-    bath = BathSpec(eta=1, lambda_cutoff=10 ** 300, kbt=2)
-    assert (bath.eta, bath.lambda_cutoff, bath.kbt) == (1.0, 1e300, 2.0)
-    assert all(type(v) is float for v in (bath.eta, bath.lambda_cutoff, bath.kbt))
+    for bath in (BathSpec(eta=1, lambda_cutoff=10 ** 300, kbt=2),
+                 BathSpec(eta=np.int64(1), lambda_cutoff=np.float64(1e300), kbt=np.float32(2.0))):
+        assert (bath.eta, bath.lambda_cutoff, bath.kbt) == (1.0, 1e300, 2.0)
+        assert all(type(v) is float for v in (bath.eta, bath.lambda_cutoff, bath.kbt))
+    assert BathSpec(eta=np.float32(0.1)).eta == float(np.float32(0.1))
 
 
 @pytest.mark.parametrize("func", [dephasing_rate, cumulative_decoherence, lamb_kernel])

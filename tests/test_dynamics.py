@@ -23,8 +23,10 @@ G0 = markov_rate(COMMON_M)  # 0.1 at default parameters
 
 
 def decoherence_exponent(spec, m, n, t):
-    """log of the factor multiplying rho_mn(0) at time t, read off the grid path."""
-    return complex(dynamics._exponents(spec, np.array([t]))[0, m, n])
+    """log of the factor multiplying rho_mn(0) at time t: the free phase, as the propagation
+    adds it, plus the closed form's exponent table, read off the grid path."""
+    free = -0.5j * OMEGA0 * t * (dynamics._Z[m] - dynamics._Z[n])
+    return free + complex(dynamics._exponents(spec, np.array([t]))[0, m, n])
 
 
 # ------------------------------------------------------------- index algebra
@@ -84,6 +86,14 @@ def test_decoherence_free_pairs_common_bath():
                 assert expo == 0.0
             else:
                 assert expo.real < 0.0
+
+
+@pytest.mark.parametrize("table", ["_exponents", "_ode_exponents"])
+@pytest.mark.parametrize("spec", [LOCAL_M, LOCAL_NM], ids=["markov", "non_markov"])
+def test_engines_return_the_bath_exponent_alone(spec, table):
+    # the free phase is the propagation's; a local bath has no Lamb phase, so each table is real
+    expo = getattr(dynamics, table)(spec, np.linspace(0.0, 2.0, 5) / G0)
+    assert expo.shape == (5, 8, 8) and np.isrealobj(expo)
 
 
 def test_local_bath_has_no_frozen_off_diagonal():
@@ -283,7 +293,7 @@ def test_propagated_states_pass_the_bounds_of_the_measures(engine):
     # a 1e-6 output bound, but "not a state" to C_R, which allows -1e-8
     bath = BathSpec(eta=1.0, kbt=5.7e-19, topology="local")
     times = np.linspace(0.0, 5.6e-9, 201) / markov_rate(bath)
-    with pytest.raises(RuntimeError, match="min eigenvalue -1.852e-08"):
+    with pytest.raises(ValueError, match="min eigenvalue -1.852e-08"):
         propagate_grid(bath, make_state(StateSpec("star")), times, engine)
 
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
@@ -474,6 +484,12 @@ def test_propagate_rejects_invalid_state():
         propagate_grid(COMMON_M, np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("rho0", ["x", {}, [["1", "x"]]], ids=["string", "dict", "strings"])
+def test_propagate_names_rho0_that_is_not_numbers(rho0):
+    with pytest.raises(ValueError, match="^rho0: expected an 8x8 matrix of numbers"):
+        propagate_grid(COMMON_M, rho0, [0.0, 1.0])
+
+
 def test_propagate_rejects_negative_time():
     with pytest.raises(ValueError, match="-1.0"):
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), [0.0, -1.0])
@@ -500,13 +516,13 @@ def test_output_invariant_check_trips_on_corruption(monkeypatch):
     rho0 = make_state(StateSpec("ghz"))
     times = np.array([0.0, 1.0])
     spoil_exponents(monkeypatch, 1, np.full((8, 8), np.log(1.01)))
-    with pytest.raises(RuntimeError, match="trace residual 1.0"):
+    with pytest.raises(ValueError, match="trace residual 1.0"):
         propagate_grid(COMMON_M, rho0, times)
     monkeypatch.undo()
     add = np.zeros((8, 8))
     add[0, 7] = 1e-3  # grows rho_07 but not rho_70
     spoil_exponents(monkeypatch, 1, add)
-    with pytest.raises(RuntimeError, match="hermiticity"):
+    with pytest.raises(ValueError, match="hermiticity"):
         propagate_grid(COMMON_M, rho0, times)
 
 
@@ -522,6 +538,6 @@ def test_output_check_names_the_first_bad_sample(monkeypatch, add, k):
         with pytest.raises(ValueError, match=f"^bath kernels overflow on the grid to t = {times[-1]:g} at eta = 0.1"):
             propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
         return
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(ValueError) as info:
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
     assert f"propagated state at t={times[k]:g} violates" in str(info.value)

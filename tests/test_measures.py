@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tridephase import measures
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import CATALOG, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
@@ -131,6 +132,13 @@ def _not_states():
 def test_coherence_rejects_what_is_not_a_state(rho):
     with pytest.raises(ValueError):
         rel_entropy_coherence(rho)
+
+
+def test_coherence_below_the_roundoff_floor_is_a_value_error(monkeypatch):
+    # ghz's ln 2 lies below a floor raised to 1, so it reads as inconsistent inputs
+    monkeypatch.setattr(measures, "_ROUNDOFF_FLOOR", 1.0)
+    with pytest.raises(ValueError, match="is negative beyond roundoff"):
+        rel_entropy_coherence(make_state(StateSpec("ghz")))
 
 
 def test_coherence_names_the_first_bad_sample_of_a_stack():

@@ -43,6 +43,18 @@ def test_each_spectral_job_has_one_call_site():
     assert callers == {"eigh": ["measures"], "eigvalsh": ["states"]}
 
 
+def test_free_phase_is_formed_once():
+    # both engines return the bath's exponent table, and dynamics._propagate adds the free phase,
+    # the one place that reads OMEGA0
+    def reads(tree):
+        return sum(isinstance(node, ast.Name) and node.id == "OMEGA0" and isinstance(node.ctx, ast.Load)
+                   for node in ast.walk(tree))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    readers = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and reads(node)]
+    assert readers == ["dynamics._propagate"] and sum(map(reads, trees.values())) == 1
+
+
 def test_both_engines_share_one_exp():
     # each engine returns an exponent table, and dynamics._propagate takes the one exp
     callers = [path.stem for path in sorted(SRC.glob("*.py"))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,21 @@ def test_scenario_config_names_the_bad_field(field):
                 engine="closed_form", output="a.csv")
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**{**good, field: True if field == "t_max" else "../a.csv"})
+
+
+@pytest.mark.parametrize("n_points", [True, np.bool_(True), 4.0, np.float64(4.0), np.int64(1)])
+def test_scenario_config_rejects_non_integer_points(n_points):
+    (scenario,) = parse_config(MINIMAL)
+    with pytest.raises(ValueError, match="field 'n_points': must be an integer"):
+        replace(scenario, n_points=n_points)
+
+
+def test_scenario_config_takes_numpy_scalars():
+    # replace is how a bundle's grid changes, and a numpy grid size must pass as a Python number
+    (scenario,) = parse_config(MINIMAL)
+    changed = replace(scenario, n_points=np.int64(401), t_max=np.float32(2.5))
+    assert (changed.n_points, changed.t_max) == (401, 2.5)
+    assert type(changed.n_points) is int and type(changed.t_max) is float
 
 
 # ---------------------------------------------------------------- csv bytes
@@ -601,6 +617,15 @@ def test_cli_rejects_p_on_a_pure_state(tmp_path, capsys):
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 2
+
+
+def test_cli_non_utf8_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "latin1.yaml"
+    text = b'scenarios:\n  - {state: ghz, topology: common, memory: markov, output: "a\xffb.csv"}\n'
+    cfg.write_bytes(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text: byte 0xff at offset {text.index(0xff)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_failing_scenario_exits_one(tmp_path, capsys):

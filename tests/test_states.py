@@ -200,10 +200,16 @@ def test_state_spec_rejects_unknown_name():
         StateSpec("ghzz")
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), True, "0.5"])
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), True, "0.5", np.bool_(True), np.float32("nan"), np.int64(2)])
 def test_state_spec_rejects_bad_weight(p):
     with pytest.raises(ValueError, match="field 'p'"):
         StateSpec("werner-w", p=p)
+
+
+def test_state_spec_stores_a_float_weight():
+    for p in (np.float32(0.5), np.int64(1), 0.5):
+        spec = StateSpec("werner-w", p=p)
+        assert spec.p == float(p) and type(spec.p) is float
 
 
 def test_name_catalogs_are_disjoint():
