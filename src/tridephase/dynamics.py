@@ -2,19 +2,20 @@
 
 Each matrix element obeys its own scalar equation, so the states are
 rho_mn(t) = rho_mn(0) * exp(-i w0/2 (Z_m - Z_n) t + E_mn(t)): the free
-phase, which the propagation adds, and the bath's exponent E, a table that
-both engines return.  "closed_form" takes E from the elementwise solution
+phase and the bath's exponent E = I(t) @ W.  Each engine returns its two
+real kernel integrals I(t), and the propagation applies the engine's
+(2, 64) weight table W of the topology.  "closed_form" takes I = (Gamma(t),
+M(t)) and the weights of the elementwise solution
 
     local:  E_mn(t) = - sum_i 2 [bit_i differs] Gamma_i(t)
     common: E_mn(t) = i (Z_m^2 - Z_n^2) M(t) - (Z_m - Z_n)^2 / 2 * Gamma(t)
 
 while "ode" integrates the dissipator of the master equation with
 fixed-step fourth-order Magnus in the frame that rotates with the free
-phase: E is the Simpson-rule integrals of the kernel rows gamma(t), mu(t)
-times each element's weights.  Each engine builds its own
-topology table once, at import, the ode's off the dissipator's operator
-form, so each one checks the other.  Z_m is the collective sigma_z
-eigenvalue of basis index m.
+phase: I is the Simpson-rule integrals of the kernel rows gamma(t), mu(t),
+and W is read off the dissipator's operator form.  Each table is built
+once, at import, and neither reads the other, so each engine checks the
+other.  Z_m is the collective sigma_z eigenvalue of basis index m.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
 
 OMEGA0 = 1.0  # qubit splitting; fixes the unit of time
 
-ENGINES = ("closed_form", "ode")
-
 # one row of bits per basis index, qubit 1 first (most significant)
 _BITS = np.array([[(m >> (2 - i)) & 1 for i in range(3)] for m in range(8)])
 _Z = np.sum(1 - 2 * _BITS, axis=1)
@@ -56,24 +55,17 @@ _DISSIPATORS = {
 # the ode engine's table of weights (W_g, W_mu) on each rho_mn: a Schur multiplier's weights are its image of ones
 _WEIGHTS = {topology: np.stack([apply(np.ones((8, 8))) for apply in maps]).reshape(2, 64)
             for topology, maps in _DISSIPATORS.items()}
-# the closed form's table: the weight of Gamma(t) (2 per flipped bit with local baths) and of M(t)
-_DECAY = {"common": _DZ.astype(float) ** 2 / 2.0,
-          "local": 2.0 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1)}
-_ZSQ = _Z[:, None] ** 2 - _Z[None, :] ** 2
+# the closed form's table: the weights of Gamma(t) (-2 per flipped bit with local baths) and of M(t)
+_CLOSED = {"common": np.array([-_DZ ** 2 / 2.0, 1j * (_Z[:, None] ** 2 - _Z[None, :] ** 2)]).reshape(2, 64),
+           "local": np.array([-2 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1),
+                              np.zeros((8, 8))]).reshape(2, 64)}
 _OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
              "kbt = {b.kbt:g}; shorten t_max or change them")
 
 
-def _exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """The bath's exponent table E, shape (len(times), 8, 8), from the closed form.
-
-    One kernel call covers the whole grid; the broadcast expression applies
-    the same operations in the same order to each sample.
-    """
-    expo = -_DECAY[bspec.topology] * cumulative_decoherence(bspec, times)[:, None, None]
-    if bspec.topology == "common":
-        expo = expo + (1j * lamb_kernel(bspec, times)[1][:, None, None]) * _ZSQ
-    return expo
+def _closed_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """The closed form's kernel integrals (Gamma(t), M(t)) on the grid, shape (len(times), 2)."""
+    return np.stack([cumulative_decoherence(bspec, times), lamb_kernel(bspec, times)[1]], axis=-1)
 
 
 def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
@@ -81,30 +73,37 @@ def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
     return np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
 
 
-def _ode_exponents(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """The exponent table of _exponents, by the ode engine: the Magnus integrals of the
-    dissipator's rates gamma(t) W_g + mu(t) W_mu."""
+def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
+    """The ode engine's kernel integrals on the grid, shape (len(times), 2): the Magnus
+    integrals of the rows gamma(t), mu(t) that weigh the dissipator's rates."""
     # the Magnus step: with memory 0.05/lambda, as the kernels' nearest complex-time pole lies 1/lambda
     # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
     step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
     try:
-        integrals = ode_propagate(partial(_kernel_rows, bspec), times, step)
+        return ode_propagate(partial(_kernel_rows, bspec), times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call
         # with no interval split, the grid's points alone are over the budget
         advice = ("use fewer grid points or engine closed_form" if np.all(np.diff(times) <= step)
                   else "lower lambda, shorten t_max or use engine closed_form")
         raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
                          f"kbt = {bspec.kbt:g}; {advice}") from exc
-    return (integrals @ _WEIGHTS[bspec.topology]).reshape(-1, 8, 8)
+
+
+# each engine's integrals of (bath, times) and its weight tables by topology
+_ENGINES = {"closed_form": (_closed_integrals, _CLOSED), "ode": (_ode_integrals, _WEIGHTS)}
+ENGINES = tuple(_ENGINES)
 
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
-    """rho0 (complex 8x8) times exp(the free phase + the named engine's exponent table) on a checked time grid,
+    """rho0 (complex 8x8) times exp(the free phase + the named engine's integrals @ weights) on a checked time grid,
     after checking the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check."""
-    if engine not in ENGINES:
+    if engine not in _ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
+    integrals, weights = _ENGINES[engine]
+    table = weights[bath.topology]
+    used = table.any(axis=1)  # an integral of weight 0 (a local bath's Lamb shift) moves nothing, even at inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        expo = (_exponents if engine == "closed_form" else _ode_exponents)(bath, times)
+        expo = (integrals(bath, times)[:, used] @ table[used]).reshape(-1, 8, 8)
         factors = np.exp((-0.5j * OMEGA0 * times[:, None, None]) * _DZ + expo)
         if not np.isfinite(factors).all():
             raise ValueError(_OVERFLOW.format(t=times[-1], b=bath))

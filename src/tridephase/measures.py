@@ -30,7 +30,10 @@ def rel_entropy_coherence(rho):
     rho's real diagonal, and no population of a state lies below its smallest eigenvalue.
     S(rho) takes one eigh per matrix, whose eigenvalues the reference CSVs hold.
     """
-    rhos = np.asarray(rho, dtype=complex)
+    try:
+        rhos = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"rho: expected an 8x8 matrix or an (n, 8, 8) stack of numbers ({exc})") from exc
     if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 matrix or an (n, 8, 8) stack, got shape {rhos.shape}")
     stack = rhos.reshape(-1, 8, 8)

@@ -12,6 +12,7 @@ Nothing here knows about baths or qubits.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,14 +58,20 @@ def check_number(field: str, value, strict: bool = False) -> float:
 def check_time(t, grid: bool = False):
     """Validate a time, or an array of times, and return it as float(s).
 
-    Every time must be finite and >= 0.  With ``grid`` the times must also
-    form a nonempty 1-d sequence that starts at 0 and strictly increases.
+    Every time must be a real number, finite and >= 0.  With ``grid`` the
+    times must also form a nonempty 1-d sequence that starts at 0 and
+    strictly increases.
     A 0-d input comes back as a float, anything else as a float ndarray.
 
     Raises:
         ValueError: naming the offending value.
     """
-    times = np.asarray(t, dtype=float)
+    try:
+        if np.iscomplexobj(t):  # numpy would drop the imaginary parts, with a warning
+            raise TypeError("complex times")
+        times = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"time must be a real number or an array of real numbers, got {reprlib.repr(t)}") from exc
     if grid and (times.ndim != 1 or len(times) == 0):
         raise ValueError(f"time grid must be a nonempty 1-d sequence, got shape {times.shape}")
     bad = ~(np.isfinite(times) & (times >= 0.0))

@@ -75,7 +75,9 @@ class StateSpec:
 
 
 def make_state(spec: StateSpec) -> np.ndarray:
-    """Density matrix (8x8 complex) for the given spec, built from CATALOG."""
+    """Density matrix (8x8 complex) for the given spec, built from CATALOG; ValueError if it is no StateSpec."""
+    if not isinstance(spec, StateSpec):
+        raise ValueError(f"state: expected a StateSpec, such as StateSpec('ghz'), got {spec!r}")
     if spec.name in PURE_STATE_NAMES:
         return _density(spec.name)
     first, second = (_density(part) for part in CATALOG[spec.name])

@@ -24,9 +24,10 @@ G0 = markov_rate(COMMON_M)  # 0.1 at default parameters
 
 def decoherence_exponent(spec, m, n, t):
     """log of the factor multiplying rho_mn(0) at time t: the free phase, as the propagation
-    adds it, plus the closed form's exponent table, read off the grid path."""
+    adds it, plus the closed form's integrals times its weights, read off the grid path."""
     free = -0.5j * OMEGA0 * t * (dynamics._Z[m] - dynamics._Z[n])
-    return free + complex(dynamics._exponents(spec, np.array([t]))[0, m, n])
+    expo = dynamics._closed_integrals(spec, np.array([t])) @ dynamics._CLOSED[spec.topology]
+    return free + complex(expo.reshape(-1, 8, 8)[0, m, n])
 
 
 # ------------------------------------------------------------- index algebra
@@ -88,12 +89,16 @@ def test_decoherence_free_pairs_common_bath():
                 assert expo.real < 0.0
 
 
-@pytest.mark.parametrize("table", ["_exponents", "_ode_exponents"])
-@pytest.mark.parametrize("spec", [LOCAL_M, LOCAL_NM], ids=["markov", "non_markov"])
-def test_engines_return_the_bath_exponent_alone(spec, table):
-    # the free phase is the propagation's; a local bath has no Lamb phase, so each table is real
-    expo = getattr(dynamics, table)(spec, np.linspace(0.0, 2.0, 5) / G0)
-    assert expo.shape == (5, 8, 8) and np.isrealobj(expo)
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("spec", [LOCAL_M, LOCAL_NM, COMMON_M, COMMON_NM],
+                         ids=["local_markov", "local_non_markov", "common_markov", "common_non_markov"])
+def test_engines_return_real_kernel_integrals(spec, engine):
+    # two real integrals per time, and no free phase, which is the propagation's
+    integrals, weights = dynamics._ENGINES[engine]
+    values = integrals(spec, np.linspace(0.0, 2.0, 5) / G0)
+    assert values.shape == (5, 2) and values.dtype == np.float64
+    # a local bath has no Lamb phase, so its weights, and so its exponent table, are real
+    assert np.isrealobj(weights[spec.topology]) == (spec.topology == "local")
 
 
 def test_local_bath_has_no_frozen_off_diagonal():
@@ -324,6 +329,15 @@ def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, eng
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+def test_an_integral_of_weight_zero_may_overflow(monkeypatch, engine):
+    # a local bath's Lamb shift multiplies sigma_z^2 = 1 and drops out, so an inf Lamb kernel moves no element
+    bath, grid = BathSpec(topology="local", memory="non_markov"), np.linspace(0.0, 0.2, 5)
+    expected = coherence_trace(bath, StateSpec("ghz"), grid, engine)
+    monkeypatch.setattr(dynamics, "lamb_kernel", lambda bspec, t: (np.full(np.shape(t), np.inf),) * 2)
+    assert np.array_equal(coherence_trace(bath, StateSpec("ghz"), grid, engine), expected)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_subnormal_gamma0_propagates_without_numpy_warnings(engine):
     # gamma0 = 4 pi eta kbt is subnormal; the ODE step of a Markov bath is inf and divides by no rate
     bath = BathSpec(eta=1e-300, kbt=1e-15)
@@ -346,18 +360,12 @@ def test_ode_long_markov_interval_is_one_substep_in_small_memory():
     assert peak < 8e6
 
 
-def element_weights(topology):
-    """The weights (W_g, W_mu) of gamma(t) and mu(t) on each rho_mn, shape (2, 8, 8)."""
-    z = dynamics._Z
-    if topology == "common":
-        return np.stack([-((z[:, None] - z[None, :]) ** 2) / 2.0, 1j * (z[:, None] ** 2 - z[None, :] ** 2)])
-    flipped = [bin(m ^ n).count("1") for m in range(8) for n in range(8)]
-    return np.stack([-2.0 * np.reshape(flipped, (8, 8)), np.zeros((8, 8))])
-
-
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_dissipator_weights_are_read_off_the_operator_form(topology):
-    assert np.array_equal(dynamics._WEIGHTS[topology].reshape(2, 8, 8), element_weights(topology))
+    # the ode's table, read off the dissipator, is the closed form's, built from the bits, bit for bit
+    ode, closed = dynamics._WEIGHTS[topology], dynamics._CLOSED[topology]
+    assert ode.shape == closed.shape == (2, 64) and ode.dtype == closed.dtype
+    assert ode.tobytes() == closed.tobytes()
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -464,6 +472,11 @@ def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
     assert shapes == {"eigh": [(8, 8)] * 201, "eigvalsh": [(201, 8, 8)]}
 
 
+def test_trace_names_a_state_that_is_not_a_spec():
+    with pytest.raises(ValueError, match="^state: expected a StateSpec, such as StateSpec\\('ghz'\\), got 'ghz'"):
+        coherence_trace(BathSpec(), "ghz", np.linspace(0.0, 1.0, 3))
+
+
 def test_trace_rejects_zero_coupling():
     with pytest.raises(ValueError):
         coherence_trace(BathSpec(eta=0.0), StateSpec("ghz"), np.array([0.0, 1.0]))
@@ -495,49 +508,54 @@ def test_propagate_rejects_negative_time():
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), [0.0, -1.0])
 
 
-@pytest.mark.parametrize("grid", [[], [0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+@pytest.mark.parametrize("grid", [[], [0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], "abc", 1j, [0.0, 1j],
+                                  np.array([0.0, 1j]), [[0.0], [1.0, 2.0]]])
 def test_propagate_grid_validation(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^time"):
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid)
 
 
-def spoil_exponents(monkeypatch, k, add, table="_exponents"):
-    """Make an engine's exponent table (the closed form's by default) add ``add`` from sample k on."""
-    exponents = getattr(dynamics, table)
+def spoil_engine(monkeypatch, engine, k, value, where=np.ones((8, 8))):
+    """Make an engine's exponent table add ``value`` at the elements ``where`` marks, from sample k on:
+    an extra integral column holds ``value`` from k on, and an extra weight row holds ``where``."""
+    integrals, weights = dynamics._ENGINES[engine]
 
-    def spoiled(*args):
-        expo = exponents(*args)
-        expo[k:] += add
-        return expo
-    monkeypatch.setattr(dynamics, table, spoiled)
+    def spoiled(bspec, times):
+        return np.column_stack([integrals(bspec, times), np.where(np.arange(len(times)) >= k, value, 0.0)])
+    tables = {topology: np.vstack([table, where.reshape(1, 64)]) for topology, table in weights.items()}
+    monkeypatch.setitem(dynamics._ENGINES, engine, (spoiled, tables))
 
 
 def test_output_invariant_check_trips_on_corruption(monkeypatch):
     rho0 = make_state(StateSpec("ghz"))
     times = np.array([0.0, 1.0])
-    spoil_exponents(monkeypatch, 1, np.full((8, 8), np.log(1.01)))
-    with pytest.raises(ValueError, match="trace residual 1.0"):
-        propagate_grid(COMMON_M, rho0, times)
-    monkeypatch.undo()
-    add = np.zeros((8, 8))
-    add[0, 7] = 1e-3  # grows rho_07 but not rho_70
-    spoil_exponents(monkeypatch, 1, add)
-    with pytest.raises(ValueError, match="hermiticity"):
-        propagate_grid(COMMON_M, rho0, times)
+    corner = np.zeros((8, 8))
+    corner[0, 7] = 1.0  # grows rho_07 but not rho_70
+    for engine in ENGINES:
+        spoil_engine(monkeypatch, engine, 1, np.log(1.01))
+        with pytest.raises(ValueError, match="trace residual 1.0"):
+            propagate_grid(COMMON_M, rho0, times, engine)
+        monkeypatch.undo()
+        spoil_engine(monkeypatch, engine, 1, 1e-3, corner)
+        with pytest.raises(ValueError, match="hermiticity"):
+            propagate_grid(COMMON_M, rho0, times, engine)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("k", [1, 117, 200])
 @pytest.mark.parametrize("add", [np.nan, np.log(1.01)], ids=["nan", "1.01"])
 def test_output_check_names_the_first_bad_sample(monkeypatch, add, k):
-    # the ODE's exponents go bad from sample k on: nan factors are the bath's
+    # each engine's exponents go bad from sample k on: nan factors are the bath's
     # overflow, and states grown by 1.01 fail the one stack check, which names
     # that sample's t as :g
-    spoil_exponents(monkeypatch, k, add, "_ode_exponents")
     times = np.linspace(0.0, 3.0, 201) / G0
-    if np.isnan(add):
-        with pytest.raises(ValueError, match=f"^bath kernels overflow on the grid to t = {times[-1]:g} at eta = 0.1"):
-            propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
-        return
-    with pytest.raises(ValueError) as info:
-        propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "ode")
-    assert f"propagated state at t={times[k]:g} violates" in str(info.value)
+    for engine in ENGINES:
+        spoil_engine(monkeypatch, engine, k, add)
+        if np.isnan(add):
+            with pytest.raises(ValueError, match=f"^bath kernels overflow on the grid to t = {times[-1]:g} at eta = 0.1"):
+                propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, engine)
+        else:
+            with pytest.raises(ValueError) as info:
+                propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, engine)
+            assert f"propagated state at t={times[k]:g} violates" in str(info.value)
+        monkeypatch.undo()

@@ -134,6 +134,12 @@ def test_coherence_rejects_what_is_not_a_state(rho):
         rel_entropy_coherence(rho)
 
 
+@pytest.mark.parametrize("rho", ["x", [[1.0], [1.0, 0.0]], {}], ids=["string", "ragged", "dict"])
+def test_coherence_names_rho_that_is_not_numbers(rho):
+    with pytest.raises(ValueError, match=r"^rho: expected an 8x8 matrix or an \(n, 8, 8\) stack of numbers"):
+        rel_entropy_coherence(rho)
+
+
 def test_coherence_below_the_roundoff_floor_is_a_value_error(monkeypatch):
     # ghz's ln 2 lies below a floor raised to 1, so it reads as inconsistent inputs
     monkeypatch.setattr(measures, "_ROUNDOFF_FLOOR", 1.0)

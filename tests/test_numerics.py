@@ -70,6 +70,11 @@ def test_check_time_returns_float_or_array():
     ([0.25, 1.0], True, "0.25"),
     ([0.0, 2.0, 1.5], True, "1.5 after 2.0"),
     ([[0.0, 1.0]], True, "(1, 2)"),
+    ("abc", False, "real number or an array of real numbers, got 'abc'"),
+    (1j, False, "got 1j"),
+    ([0.0, 1j], True, "got [0.0, 1j]"),
+    (np.array([0.0, 1j]), True, "got array([0.+0.j, 0.+1.j])"),
+    ([[0.0], [1.0, 2.0]], False, "got [[0.0], [1.0, 2.0]]"),
 ])
 def test_check_time_names_the_offending_value(times, grid, named):
     with pytest.raises(ValueError) as info:

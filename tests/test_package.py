@@ -55,6 +55,16 @@ def test_free_phase_is_formed_once():
     assert readers == ["dynamics._propagate"] and sum(map(reads, trees.values())) == 1
 
 
+def test_one_site_applies_a_weight_table():
+    # each engine returns its (n, 2) kernel integrals, and dynamics._propagate alone multiplies
+    # them by the weights: the only matrix product in a function of src/
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    sites = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(op, ast.MatMult) for op in ast.walk(node))]
+    assert sites == ["dynamics._propagate"]
+
+
 def test_both_engines_share_one_exp():
     # each engine returns an exponent table, and dynamics._propagate takes the one exp
     callers = [path.stem for path in sorted(SRC.glob("*.py"))

@@ -206,6 +206,12 @@ def test_state_spec_rejects_bad_weight(p):
         StateSpec("werner-w", p=p)
 
 
+@pytest.mark.parametrize("spec", ["ghz", None, ("ghz", 1.0)], ids=["name", "none", "tuple"])
+def test_make_state_names_a_state_that_is_not_a_spec(spec):
+    with pytest.raises(ValueError, match="^state: expected a StateSpec"):
+        make_state(spec)
+
+
 def test_state_spec_stores_a_float_weight():
     for p in (np.float32(0.5), np.int64(1), 0.5):
         spec = StateSpec("werner-w", p=p)
