@@ -16,7 +16,7 @@ output) and ``cli``.
 """
 
 from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
-                   cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate)
+                   kernel_integrals, kernel_rates, markov_rate)
 from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from .measures import rel_entropy_coherence
 from .runner import ConfigError, RunResult, ScenarioConfig, parse_config, run_scenarios, trace_csv_bytes
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BathSpec", "markov_rate",
-    "dephasing_rate", "cumulative_decoherence", "lamb_kernel",
+    "kernel_rates", "kernel_integrals",
     "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
     "StateSpec", "make_state",
     "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",

@@ -21,9 +21,10 @@ c = kbt / lambda_cutoff and y = kbt t:
     gamma(t) = 2 eta (2 kbt Im psi(c + i y) - t / (lambda^-2 + t^2))
     Gamma(t) = -eta (4 Re[ln Gamma(c + i y) - ln Gamma(c)] + log1p(lambda^2 t^2))
 
-Every kernel takes a time or an array of times and returns the same shape.
-In the Markov limit the flat rate gamma0 = 4 pi eta kbt replaces gamma(t),
-Gamma(t) becomes exactly gamma0 * t, and the Lamb-shift kernels vanish.
+kernel_rates gives (gamma, mu) and kernel_integrals (Gamma, M), one pair
+per propagation engine, as a t.shape + (2,) table for a time or an array of
+times t.  In the Markov limit the flat rate gamma0 = 4 pi eta kbt replaces
+gamma(t), Gamma(t) becomes exactly gamma0 * t, and the Lamb-shift kernels vanish.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_number, check_time, digamma_im, loggamma_re_diff
+from .numerics import check_number, check_time, digamma_im, log1p_square, loggamma_re_diff, lorentzian
 
 __all__ = [
     "DEFAULT_ETA",
@@ -43,9 +44,8 @@ __all__ = [
     "MEMORIES",
     "BathSpec",
     "markov_rate",
-    "dephasing_rate",
-    "cumulative_decoherence",
-    "lamb_kernel",
+    "kernel_rates",
+    "kernel_integrals",
 ]
 
 DEFAULT_ETA = 0.1
@@ -93,52 +93,38 @@ def markov_rate(spec: BathSpec) -> float:
     return 4.0 * math.pi * spec.eta * spec.kbt
 
 
-def dephasing_rate(spec: BathSpec, t):
-    """Time-dependent dephasing rate gamma(t): gamma0 for a Markov bath."""
+def kernel_rates(spec: BathSpec, t):
+    """The dephasing and Lamb rates (gamma(t), mu(t)), shape t.shape + (2,), with
+    mu = eta lam x^2 / (1 + x^2), x = lam t; (gamma0, 0) for a Markov bath.  Both are finite
+    wherever their values are, with no numpy warning, over the range the README states."""
     t = check_time(t)
     if spec.memory == "markov":
-        return markov_rate(spec) + 0.0 * t  # shaped like t
-    lam, kbt = spec.lambda_cutoff, spec.kbt
-    # a numpy power: inf, not OverflowError, at lambda = 1e-300
-    return 2.0 * spec.eta * (2.0 * kbt * digamma_im(kbt / lam, kbt * t) - t / (np.float64(lam) ** -2 + t * t))
+        return np.stack([markov_rate(spec) + 0.0 * t, 0.0 * t], axis=-1)
+    eta, lam, kbt = spec.eta, spec.lambda_cutoff, spec.kbt
+    # L = t / (lam^-2 + t^2) as a Lorentzian squares neither t nor 1 / lam (inf, not an error, at lam = 1e-320), and
+    # 4 eta (kbt Im psi - L / 2) has the bits of 2 eta (2 kbt Im psi - L) but no 2 kbt or 2 eta to overflow
+    gamma = eta * (kbt * digamma_im(kbt / lam, kbt * t) - lorentzian(t, 1.0 / lam) / 2.0) * 4.0
+    x = lam * np.minimum(t, 1e150 / lam)  # past lam t = 1e150, mu is eta * lam to rounding, and x^2 can overflow
+    return np.stack([gamma, eta * (lam * (x * x / (1.0 + x * x)))], axis=-1)
 
 
-def cumulative_decoherence(spec: BathSpec, t):
-    """Gamma(t), the integral of the dephasing rate from 0 to t.
-
-    Markov memory returns exactly gamma0 * t.  Non-Markov memory uses the
-    log-gamma form, an independent series from the digamma one behind
-    :func:`dephasing_rate`, so each can be checked against the other.
-    """
+def kernel_integrals(spec: BathSpec, t):
+    """The integrals (Gamma(t), M(t)) of the rates from 0 to t, shape t.shape + (2,); exactly
+    (gamma0 t, 0) for a Markov bath.  Gamma is the log-gamma series, independent of the digamma
+    one behind :func:`kernel_rates`, and finite wherever its value is, over the range the README
+    states.  M = eta (x - arctan x), x = lam t, is its series x^3/3 - x^5/5 + ... below x = 0.1,
+    and inf, with no numpy warning, where x overflows."""
     t = check_time(t)
     if spec.memory == "markov":
-        return markov_rate(spec) * t
-    lam, kbt = spec.lambda_cutoff, spec.kbt
-    return -spec.eta * (4.0 * loggamma_re_diff(kbt / lam, kbt * t) + np.log1p((lam * t) ** 2))
-
-
-def lamb_kernel(spec: BathSpec, t):
-    """Lamb-shift kernels (mu(t), M(t)) in closed form; zero for a Markov bath.
-
-    For the exponentially cut off Ohmic density the frequency integrals are
-    elementary:
-
-        mu(t) = eta * lam * x^2 / (1 + x^2)
-        M(t)  = eta * (x - arctan(x)),  x = lam t
-              = eta * (x^3/3 - x^5/5 + ...)  for x < 0.1
-    """
-    t = check_time(t)
-    if spec.memory == "markov":
-        zero = 0.0 * t
-        return zero, zero
-    lam = spec.lambda_cutoff
-    x_mu = lam * np.minimum(t, 1e150 / lam)  # past lam t = 1e150, mu is eta * lam to rounding, and x^2 can overflow
-    mu = spec.eta * lam * (x_mu * x_mu / (1.0 + x_mu * x_mu))
+        return np.stack([markov_rate(spec) * t, 0.0 * t], axis=-1)
+    eta, lam, kbt = spec.eta, spec.lambda_cutoff, spec.kbt
+    # log1p((lam t)^2) is finite where lam t overflows, so Gamma is too
+    big_gamma = -eta * (4.0 * loggamma_re_diff(kbt / lam, kbt * t) + log1p_square(t, 1.0 / lam))
     with np.errstate(over="ignore"):  # M is inf past lam t ~ 1.8e308, with no warning, as for a scalar t
         x = lam * t
     x2 = np.square(np.minimum(x, _SERIES_X))  # the series applies below _SERIES_X and must not overflow above
     series = 0.0
     for coefficient in reversed(_ARCTAN_SERIES):  # Horner in x^2
         series = series * x2 + coefficient
-    big_m = spec.eta * np.where(x < _SERIES_X, x * x2 * series, x - np.arctan(x))[()]
-    return mu, big_m
+    big_m = eta * np.where(x < _SERIES_X, x * x2 * series, x - np.arctan(x))
+    return np.stack([big_gamma, big_m], axis=-1)

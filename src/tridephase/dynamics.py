@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
+from .bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
 from .measures import rel_entropy_coherence
 from .numerics import check_time, ode_propagate
 from .states import STATE_BOUNDS, StateSpec, check_states, make_state
@@ -63,16 +63,6 @@ _OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g},
              "kbt = {b.kbt:g}; shorten t_max or change them")
 
 
-def _closed_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
-    """The closed form's kernel integrals (Gamma(t), M(t)) on the grid, shape (len(times), 2)."""
-    return np.stack([cumulative_decoherence(bspec, times), lamb_kernel(bspec, times)[1]], axis=-1)
-
-
-def _kernel_rows(bspec: BathSpec, t: np.ndarray) -> np.ndarray:
-    """The rows (gamma(t), mu(t)) of a stage-time table t, shape t.shape + (2,)."""
-    return np.stack([dephasing_rate(bspec, t), lamb_kernel(bspec, t)[0]], axis=-1)
-
-
 def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """The ode engine's kernel integrals on the grid, shape (len(times), 2): the Magnus
     integrals of the rows gamma(t), mu(t) that weigh the dissipator's rates."""
@@ -80,7 +70,7 @@ def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
     step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
     try:
-        return ode_propagate(partial(_kernel_rows, bspec), times, step)
+        return ode_propagate(partial(kernel_rates, bspec), times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call
         # with no interval split, the grid's points alone are over the budget
         advice = ("use fewer grid points or engine closed_form" if np.all(np.diff(times) <= step)
@@ -90,7 +80,7 @@ def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
 
 
 # each engine's integrals of (bath, times) and its weight tables by topology
-_ENGINES = {"closed_form": (_closed_integrals, _CLOSED), "ode": (_ode_integrals, _WEIGHTS)}
+_ENGINES = {"closed_form": (kernel_integrals, _CLOSED), "ode": (_ode_integrals, _WEIGHTS)}
 ENGINES = tuple(_ENGINES)
 
 

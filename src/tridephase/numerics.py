@@ -1,7 +1,8 @@
 """Self-contained numerical primitives.
 
 Closed-form special functions for complex arguments (the real part of a
-log-gamma ratio and the imaginary part of the digamma function), the
+log-gamma ratio and the imaginary part of the digamma function) with the
+overflow-free log1p(x^2) and Lorentzian that they share with the bath, the
 running Simpson-rule integral of a table of time-dependent coefficients,
 which is the fourth-order Magnus exponent of decoupled linear equations
 whose rates are those coefficients times a weight matrix, and the
@@ -20,6 +21,8 @@ import numpy as np
 __all__ = [
     "check_number",
     "check_time",
+    "log1p_square",
+    "lorentzian",
     "loggamma_re_diff",
     "digamma_im",
     "ode_propagate",
@@ -93,8 +96,25 @@ def _stirling_shift(c: float) -> np.ndarray:
     return c + np.arange(math.ceil(max(0.0, _STIRLING_MIN - c)))  # none at c = inf
 
 
+def log1p_square(p, q):
+    """log1p((p / q)^2) for p >= 0 and q > 0, finite wherever its value is, also where p / q overflows:
+    past p / q = 1e150 it is 2 (ln p - ln q), as log1p(r^2) = 2 ln r + log1p(r^-2) and r^-2 < 1e-300."""
+    with np.errstate(over="ignore"):  # a ratio past the float range is read off the logarithms
+        r = np.divide(p, q)
+    big = r > 1e150
+    return np.where(big, 2.0 * (np.log(np.where(big, p, 1.0)) - np.log(q)), np.log1p(np.square(np.where(big, 0.0, r))))
+
+
+def lorentzian(y, s):
+    """y / (s^2 + y^2) for y, s >= 0, finite wherever its value is, and 0 at y = 0: with m = max(y, s)
+    and z = min(y, s) / m it is (y / m) / m / (1 + z^2), where no square overflows or underflows."""
+    m = np.maximum(np.maximum(y, s), np.finfo(float).tiny)  # tiny at y = s = 0, where the value is 0
+    z = np.minimum(y, s) / m
+    return y / m / m / (1.0 + z * z)
+
+
 def loggamma_re_diff(c: float, y):
-    """Re[ln Gamma(c + i y) - ln Gamma(c)] for real c > 0 and real y.
+    """Re[ln Gamma(c + i y) - ln Gamma(c)] for real c > 0 and real y >= 0.
 
     The argument is shifted up by the recurrence to w = c + N >= 16, where
     the Stirling series through B_14 applies.  Every term is written so that
@@ -109,32 +129,31 @@ def loggamma_re_diff(c: float, y):
     shifts = _stirling_shift(c)
     w = c + len(shifts)
     y = np.asarray(y, dtype=float)
-    u = y / w
-    log_r = np.log1p(u * u)
-    theta = np.arctan(u)
+    log_r = log1p_square(y, w)
+    theta = np.arctan(y / w)
     m_theta = _2K1 * theta[..., None]
     series = (_B2K / (_2K * _2K1) * w ** -_2K1) * (
         np.expm1(-0.5 * _2K1 * log_r[..., None]) * np.cos(m_theta) - 2.0 * np.sin(0.5 * m_theta) ** 2)
-    shifted = np.log1p((y[..., None] / shifts) ** 2)
+    shifted = log1p_square(y[..., None], shifts)
     return (w - 0.5) * 0.5 * log_r - y * theta + series.sum(axis=-1) - 0.5 * shifted.sum(axis=-1)
 
 
 def digamma_im(c: float, y):
-    """Im psi(c + i y) for real c > 0 and real y.
+    """Im psi(c + i y) for real c > 0 and real y >= 0.
 
     Shifted up by the recurrence to w = c + N >= 16, then the Stirling
     series through B_14: Im psi(z) = arg z + y / (2|z|^2)
     + sum_k B_2k / (2k) |z|^-2k sin(2k arg z), plus y / ((c+k)^2 + y^2)
-    for each shift.  Shaped like :func:`loggamma_re_diff`.
+    for each shift.  The y / (a^2 + y^2) are Lorentzians, 0 at y = 0 however
+    small c is, and |z| is a hypot.  Shaped like :func:`loggamma_re_diff`.
     """
     shifts = _stirling_shift(c)
     w = c + len(shifts)
     y = np.asarray(y, dtype=float)
-    r2 = w * w + y * y
     theta = np.arctan2(y, w)
-    series = _B2K / _2K * r2[..., None] ** (-0.5 * _2K) * np.sin(_2K * theta[..., None])
-    shifted = y[..., None] / (shifts ** 2 + (y * y)[..., None])
-    return theta + y / (2.0 * r2) + series.sum(axis=-1) + shifted.sum(axis=-1)
+    series = _B2K / _2K * np.hypot(w, y)[..., None] ** -_2K * np.sin(_2K * theta[..., None])
+    shifted = lorentzian(y[..., None], shifts)
+    return theta + lorentzian(y, w) / 2.0 + series.sum(axis=-1) + shifted.sum(axis=-1)
 
 
 def ode_propagate(coefficients: Callable, grid: Sequence[float], max_step: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from tridephase.bath import BathSpec, cumulative_decoherence, dephasing_rate, lamb_kernel, markov_rate
+from tridephase.bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
 from tridephase import dynamics
 from tridephase.dynamics import coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
@@ -216,7 +216,7 @@ def test_criterion_12_structural_invariants(engine_sweep):
     worst_lamb = 0.0
     spec = _bath("common", "non_markov")
     zsq = dynamics._Z[:, None] ** 2 - dynamics._Z[None, :] ** 2
-    unphase = np.exp(-1j * lamb_kernel(spec, times)[1][:, None, None] * zsq)
+    unphase = np.exp(-1j * kernel_integrals(spec, times)[:, 1, None, None] * zsq)
     for label, sspec in SWEEP_STATES:
         with_phase = propagate_grid(spec, make_state(sspec), times)
         without = with_phase * unphase
@@ -243,9 +243,9 @@ def test_criterion_13_kernel_correctness():
                                           - math.log1p((nm.lambda_cutoff * t) ** 2)
                                           / (2.0 * nm.lambda_cutoff))
         worst = max(worst,
-                    abs(dephasing_rate(nm, t) - rate_ht) / rate_ht,
-                    abs(cumulative_decoherence(nm, t) - cum_ht) / cum_ht)
-    exact = all(cumulative_decoherence(mk, t) == markov_rate(mk) * t
+                    abs(kernel_rates(nm, t)[0] - rate_ht) / rate_ht,
+                    abs(kernel_integrals(nm, t)[0] - cum_ht) / cum_ht)
+    exact = all(kernel_integrals(mk, t)[0] == markov_rate(mk) * t
                 for t in (0.0, 0.7, 2.9, 30.0))
     ok = worst < 0.05 and exact
     assert _verdict(13, ok, f"closed-form kernels vs flat-coth forms, worst rel dev "

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from tridephase import dynamics
-from tridephase.bath import (MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence,
-                             lamb_kernel, markov_rate)
+from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, kernel_rates, markov_rate
 from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
@@ -26,7 +25,7 @@ def decoherence_exponent(spec, m, n, t):
     """log of the factor multiplying rho_mn(0) at time t: the free phase, as the propagation
     adds it, plus the closed form's integrals times its weights, read off the grid path."""
     free = -0.5j * OMEGA0 * t * (dynamics._Z[m] - dynamics._Z[n])
-    expo = dynamics._closed_integrals(spec, np.array([t])) @ dynamics._CLOSED[spec.topology]
+    expo = kernel_integrals(spec, np.array([t])) @ dynamics._CLOSED[spec.topology]
     return free + complex(expo.reshape(-1, 8, 8)[0, m, n])
 
 
@@ -71,8 +70,8 @@ def test_lamb_phase_term_isolated():
     # (2^2 / 2) Gamma, the phase picks up (9 - 1) big_m
     t = 2.0
     with_phase = decoherence_exponent(COMMON_NM, 0, 1, t)
-    without = -0.5j * OMEGA0 * t * 2.0 - 2.0 * cumulative_decoherence(COMMON_NM, t)
-    _, big_m = lamb_kernel(COMMON_NM, t)
+    big_gamma, big_m = kernel_integrals(COMMON_NM, t)
+    without = -0.5j * OMEGA0 * t * 2.0 - 2.0 * big_gamma
     assert abs((with_phase - without) - 1j * 8.0 * big_m) < 1e-15
     assert abs(with_phase.real - without.real) == 0.0
 
@@ -173,7 +172,7 @@ def test_lamb_phase_changes_elements_not_magnitudes():
     t = 2.0
     rho_with = propagate_grid(COMMON_NM, rho0, [0.0, t])[-1]
     # take the Lamb phase exp(i M(t) (Z_m^2 - Z_n^2)) off each element
-    _, big_m = lamb_kernel(COMMON_NM, t)
+    big_m = kernel_integrals(COMMON_NM, t)[1]
     z = dynamics._Z
     rho_without = rho_with * np.exp(-1j * big_m * (z[:, None] ** 2 - z[None, :] ** 2))
     assert np.max(np.abs(rho_with - rho_without)) > 1e-9
@@ -232,8 +231,7 @@ def test_ode_work_budget_is_checked_before_any_kernel_call(monkeypatch):
     def kernel(*args):
         raise AssertionError("kernel called")
 
-    monkeypatch.setattr(dynamics, "dephasing_rate", kernel)
-    monkeypatch.setattr(dynamics, "lamb_kernel", kernel)
+    monkeypatch.setattr(dynamics, "kernel_rates", kernel)
     bath = BathSpec(eta=1e-8, memory="non_markov")
     times = np.linspace(0.0, 0.2, 201) / markov_rate(bath)
     with pytest.raises(ValueError, match="eta = 1e-08") as info:
@@ -303,7 +301,8 @@ def test_propagated_states_pass_the_bounds_of_the_measures(engine):
 
 def test_ode_kernel_rows_must_be_finite(monkeypatch):
     # inf rows make non-finite factors, which both entry points report as the bath's overflow
-    monkeypatch.setattr(dynamics, "dephasing_rate", lambda bspec, t: np.where(t > 1.0, np.inf, 0.1))
+    monkeypatch.setattr(dynamics, "kernel_rates",
+                        lambda bspec, t: np.stack([np.where(t > 1.0, np.inf, 0.1), 0.0 * t], axis=-1))
     with pytest.raises(ValueError, match="eta = 0.1, lambda = 0.01, kbt = 0.0795775; shorten t_max"):
         propagate_grid(BathSpec(), make_state(StateSpec("ghz")), [0.0, 2.0], "ode")
     with pytest.raises(ValueError, match="bath kernels overflow on the grid to t = 2 at eta = 0.1, "
@@ -311,12 +310,27 @@ def test_ode_kernel_rows_must_be_finite(monkeypatch):
         coherence_trace(BathSpec(), StateSpec("ghz"), [0.0, 0.2], "ode")
 
 
+def spoil_kernel(monkeypatch, engine, column):
+    """Set one column of the engine's bath kernel to inf: 0 is gamma or Gamma, 1 is mu or M.
+    The closed form holds kernel_integrals in _ENGINES, and ode looks up kernel_rates in dynamics."""
+    kernel = kernel_integrals if engine == "closed_form" else kernel_rates
+
+    def spoiled(bspec, t):
+        values = kernel(bspec, t)
+        values[..., column] = np.inf
+        return values
+    if engine == "closed_form":
+        monkeypatch.setitem(dynamics._ENGINES, engine, (spoiled, dynamics._CLOSED))
+    else:
+        monkeypatch.setattr(dynamics, "kernel_rates", spoiled)
+
+
 @pytest.mark.parametrize("entry", ["propagate_grid", "coherence_trace"])
-@pytest.mark.parametrize("engine, kernel", [("closed_form", "cumulative_decoherence"), ("ode", "dephasing_rate")])
+@pytest.mark.parametrize("engine, kernel", [("closed_form", "kernel_integrals"), ("ode", "kernel_rates")])
 def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, engine, kernel, entry):
-    # each engine's inf kernel makes non-finite factors, which the one check reports
-    # by the same text, raised afresh rather than translated from another error
-    monkeypatch.setattr(dynamics, kernel, lambda bspec, t: np.full(np.shape(t), np.inf))
+    # each engine's inf kernel (Gamma, or gamma) makes non-finite factors, which the one
+    # check reports by the same text, raised afresh rather than translated from another error
+    spoil_kernel(monkeypatch, engine, 0)
     bath = BathSpec(memory="non_markov")
     times = np.linspace(0.0, 0.2, 5) / G0
     expected = dynamics._OVERFLOW.format(t=times[-1], b=bath)
@@ -328,12 +342,36 @@ def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, eng
     assert str(info.value) == expected and info.value.__context__ is None
 
 
+@pytest.mark.parametrize("engine, kernel", [("closed_form", "kernel_integrals"), ("ode", "kernel_rates")])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("memory", MEMORIES)
+def test_a_trace_calls_its_bath_kernel_once(monkeypatch, engine, kernel, topology, memory):
+    # the closed form reads (Gamma, M) off one kernel_integrals call, and ode takes (gamma, mu)
+    # at all its stage times from one kernel_rates call; neither calls the other's kernel
+    calls = []
+
+    def counted(name, kernel):
+        def counting(*args):
+            calls.append(name)
+            return kernel(*args)
+        return counting
+    monkeypatch.setitem(dynamics._ENGINES, "closed_form",
+                        (counted("kernel_integrals", kernel_integrals), dynamics._CLOSED))
+    monkeypatch.setattr(dynamics, "kernel_rates", counted("kernel_rates", kernel_rates))
+    coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"), np.linspace(0.0, 0.2, 201), engine)
+    assert calls == [kernel]
+
+
+def test_the_closed_form_engine_is_the_bath_integrals():
+    assert dynamics._ENGINES["closed_form"][0] is kernel_integrals
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_an_integral_of_weight_zero_may_overflow(monkeypatch, engine):
     # a local bath's Lamb shift multiplies sigma_z^2 = 1 and drops out, so an inf Lamb kernel moves no element
     bath, grid = BathSpec(topology="local", memory="non_markov"), np.linspace(0.0, 0.2, 5)
     expected = coherence_trace(bath, StateSpec("ghz"), grid, engine)
-    monkeypatch.setattr(dynamics, "lamb_kernel", lambda bspec, t: (np.full(np.shape(t), np.inf),) * 2)
+    spoil_kernel(monkeypatch, engine, 1)
     assert np.array_equal(coherence_trace(bath, StateSpec("ghz"), grid, engine), expected)
 
 

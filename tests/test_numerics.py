@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tridephase.bath import BathSpec
 from tridephase.dynamics import propagate_grid
 from tridephase.measures import rel_entropy_coherence
-from tridephase.numerics import check_time, digamma_im, loggamma_re_diff, ode_propagate
+from tridephase.numerics import check_time, digamma_im, log1p_square, loggamma_re_diff, lorentzian, ode_propagate
 
 E_INV = 0.36787944117144233  # exp(-1)
 
@@ -52,6 +53,38 @@ def test_special_functions_keep_the_shape_of_y():
         assert func(0.3, grid).shape == (2, 3)
         assert np.ndim(func(0.3, 2.0)) == 0
         assert func(0.3, grid)[1, 1] == func(0.3, grid[1, 1])
+
+
+# ratios p / q of 0, of order 1, at both sides of the 1e150 switch, and past the float range
+SQUARE_RATIOS = [(0.0, 1.0), (1e-100, 3.0), (2.0, 3.0), (1e150, 1.0), (1.0000001e150, 1.0), (1e300, 1e-300)]
+# Lorentzian arguments (y, s) whose squares overflow or underflow
+LORENTZ_ARGS = [(0.0, 0.0), (0.0, 1e-300), (2.0, 3.0), (1e-200, 1e-200), (1e-170, 0.0), (1e200, 1.0), (1.0, 1e150),
+                (1e300, 1e300)]
+
+
+def test_log1p_square_is_finite_past_the_square_and_the_ratio():
+    p, q = np.array(SQUARE_RATIOS).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = log1p_square(p, q)
+    with np.errstate(over="ignore"):
+        small = p / q <= 1e150  # below the switch it is numpy's log1p of the square, bit for bit
+    assert np.array_equal(values[small], np.log1p(np.square(p[small] / q[small])))
+    with mpmath.workdps(40):
+        for (a, b), value in zip(SQUARE_RATIOS, values):
+            expected = mpmath.log1p((mpmath.mpf(a) / mpmath.mpf(b)) ** 2)
+            assert abs(value - expected) <= 1e-15 * expected, (a, b)
+
+
+def test_lorentzian_is_finite_where_its_squares_are_not():
+    y, s = np.array(LORENTZ_ARGS).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = lorentzian(y, s)
+    with mpmath.workdps(40):
+        for (a, b), value in zip(LORENTZ_ARGS, values):
+            expected = mpmath.mpf(a) / (mpmath.mpf(b) ** 2 + mpmath.mpf(a) ** 2) if a else 0
+            assert abs(value - expected) <= 1e-15 * expected, (a, b)
 
 
 # ------------------------------------------------------------ time validation

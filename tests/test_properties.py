@@ -19,7 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, cumulative_decoherence, markov_rate
+from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, markov_rate
 from tridephase.dynamics import ENGINES, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.runner import ConfigError, _Loader, parse_config, run_scenarios
@@ -109,7 +109,7 @@ def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     assert np.array_equal(rhos.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
     values = coherence_trace(sc["bath"], sc["state"], grid)
-    decaying = np.diff(cumulative_decoherence(sc["bath"], times)) >= 0.0
+    decaying = np.diff(kernel_integrals(sc["bath"], times)[:, 0]) >= 0.0
     assert np.all(np.diff(values)[decaying] <= 1e-12)
 
 
@@ -226,9 +226,11 @@ def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
             assert any(name in str(error) for name in ("eta", "lambda", "kbt", "t_max", "n_points")), repr(error)
 
 
-def test_a_failing_property_shows_its_example(pytester, capsys):
+def test_a_failing_property_shows_its_example(pytester, capsys, monkeypatch):
     # under this project's warning filters, a failing @given test must print its
-    # falsifying example, not crash the report
+    # falsifying example, not crash the report.  The inner run loads hypothesis's
+    # plugin (module _hypothesis_pytestplugin) and no other installed one
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
     pytester.makepyfile(test_fails="""
         from hypothesis import given, settings, strategies as st
 
@@ -237,7 +239,8 @@ def test_a_failing_property_shows_its_example(pytester, capsys):
         def test_below_five(x):
             assert x < 5
     """)
-    result = pytester.runpytest_subprocess("-c", str(PYPROJECT), "--rootdir", str(pytester.path),
+    result = pytester.runpytest_subprocess("-p", "_hypothesis_pytestplugin",
+                                           "-c", str(PYPROJECT), "--rootdir", str(pytester.path),
                                            "-p", "no:cacheprovider", "test_fails.py")
     output = result.stdout.str() + result.stderr.str()
     capsys.readouterr()  # pytester echoes the inner run; the assertion shows it on failure

@@ -661,17 +661,23 @@ def test_cli_ode_over_the_work_budget_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "ghz_common_non_markov.csv").exists()
 
 
-OVERFLOWING = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
+# memory baths whose ode trace is over its substep budget, of steps 0.05 / lambda, before any kernel call
+OVER_BUDGET = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.2),
                "t_max": (BathSpec(memory="non_markov"), 1e300),
                "kbt": (BathSpec(kbt=1e-300, memory="non_markov"), 0.2)}
+# common memory baths whose closed-form factors overflow: M = eta (lambda t - arctan(lambda t)) at
+# lambda t = 1e310, and the free phase 3 t at t = 1e308
+OVERFLOWING = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 1e9),
+               "t_max": (BathSpec(memory="non_markov"), 1e307)}
 
 
 @pytest.mark.parametrize("bath, t_max, engine, error", [
     pytest.param(bath, t_max, engine, error, id=name if engine == "closed_form" else f"{name}-ode")
-    for engine, error in [("closed_form", "bath kernels overflow"), ("ode", "over the budget")]
-    for name, (bath, t_max) in OVERFLOWING.items()])
+    for engine, error, cases in [("closed_form", "bath kernels overflow", OVERFLOWING),
+                                 ("ode", "over the budget", OVER_BUDGET)]
+    for name, (bath, t_max) in cases.items()])
 def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max, engine, error):
-    # the kernels overflow to inf or nan on these grids; the ode engine's substep
+    # the factors overflow to inf or nan on these grids; the ode engine's substep
     # count is over its budget before any kernel call
     scenario = ScenarioConfig(state=StateSpec("ghz"), bath=bath, t_max=t_max, n_points=201,
                               engine=engine, output="x.csv")
@@ -683,6 +689,22 @@ def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max, engine,
         assert f"{field} " in message
     assert not (tmp_path / "x.csv").exists()
 
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+@pytest.mark.parametrize("name", OVER_BUDGET)
+def test_closed_form_traces_where_the_kernels_used_to_overflow(tmp_path, name, state):
+    # Gamma is finite on these grids (about 137 at their ends for lambda = 1e300 and for
+    # kbt = 1e-300, 5e299 for t_max), so the closed form writes a trace in [0, ln 8]:
+    # ghz decays to 0, and w, in a decoherence-free subspace of the common bath, stays at ln 3
+    bath, t_max = OVER_BUDGET[name]
+    scenario = ScenarioConfig(state=StateSpec(state), bath=bath, t_max=t_max, n_points=201,
+                              engine="closed_form", output="x.csv")
+    (result,) = run_scenarios([scenario], tmp_path)
+    assert result.ok, result.error
+    values = [float(line.split(",")[1]) for line in (tmp_path / "x.csv").read_text().splitlines()[9:]]
+    assert len(values) == 201 and values[0] == pytest.approx(math.log(2.0 if state == "ghz" else 3.0), rel=1e-8)
+    assert all(0.0 <= value <= math.log(8.0) for value in values)
+    assert values[-1] == (0.0 if state == "ghz" else pytest.approx(math.log(3.0), rel=1e-8))
 
 
 @pytest.mark.parametrize("state", ["ghz", "w"])
