@@ -25,6 +25,7 @@ kernel_rates gives (gamma, mu) and kernel_integrals (Gamma, M), one pair
 per propagation engine, as a t.shape + (2,) table for a time or an array of
 times t.  In the Markov limit the flat rate gamma0 = 4 pi eta kbt replaces
 gamma(t), Gamma(t) becomes exactly gamma0 * t, and the Lamb-shift kernels vanish.
+A bath with eta = 0 takes the same flat forms, exactly 0, as every term carries eta.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ def markov_rate(spec: BathSpec) -> float:
 
 def kernel_rates(spec: BathSpec, t):
     """The dephasing and Lamb rates (gamma(t), mu(t)), shape t.shape + (2,), with
-    mu = eta lam x^2 / (1 + x^2), x = lam t; (gamma0, 0) for a Markov bath.  Both are finite
-    wherever their values are, with no numpy warning, over the range the README states."""
+    mu = eta lam x^2 / (1 + x^2), x = lam t; (gamma0, 0) for a Markov bath or one with eta = 0.
+    Both are finite wherever their values are, with no numpy warning, over the range the README states."""
     t = check_time(t)
-    if spec.memory == "markov":
+    if spec.memory == "markov" or spec.eta == 0.0:
         return np.stack([markov_rate(spec) + 0.0 * t, 0.0 * t], axis=-1)
     eta, lam, kbt = spec.eta, spec.lambda_cutoff, spec.kbt
     # L = t / (lam^-2 + t^2) as a Lorentzian squares neither t nor 1 / lam (inf, not an error, at lam = 1e-320), and
@@ -110,12 +111,12 @@ def kernel_rates(spec: BathSpec, t):
 
 def kernel_integrals(spec: BathSpec, t):
     """The integrals (Gamma(t), M(t)) of the rates from 0 to t, shape t.shape + (2,); exactly
-    (gamma0 t, 0) for a Markov bath.  Gamma is the log-gamma series, independent of the digamma
-    one behind :func:`kernel_rates`, and finite wherever its value is, over the range the README
-    states.  M = eta (x - arctan x), x = lam t, is its series x^3/3 - x^5/5 + ... below x = 0.1,
-    and inf, with no numpy warning, where x overflows."""
+    (gamma0 t, 0) for a Markov bath or one with eta = 0.  Gamma is the log-gamma series, independent
+    of the digamma one behind :func:`kernel_rates`, and finite wherever its value is, over the range
+    the README states.  M = eta (x - arctan x), x = lam t, is its series x^3/3 - x^5/5 + ... below
+    x = 0.1, and inf, with no numpy warning, where x overflows."""
     t = check_time(t)
-    if spec.memory == "markov":
+    if spec.memory == "markov" or spec.eta == 0.0:
         return np.stack([markov_rate(spec) * t, 0.0 * t], axis=-1)
     eta, lam, kbt = spec.eta, spec.lambda_cutoff, spec.kbt
     # log1p((lam t)^2) is finite where lam t overflows, so Gamma is too

@@ -59,7 +59,7 @@ _WEIGHTS = {topology: np.stack([apply(np.ones((8, 8))) for apply in maps]).resha
 _CLOSED = {"common": np.array([-_DZ ** 2 / 2.0, 1j * (_Z[:, None] ** 2 - _Z[None, :] ** 2)]).reshape(2, 64),
            "local": np.array([-2 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1),
                               np.zeros((8, 8))]).reshape(2, 64)}
-_OVERFLOW = ("bath kernels overflow on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
+_OVERFLOW = ("{what} on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
              "kbt = {b.kbt:g}; shorten t_max or change them")
 
 
@@ -86,7 +86,8 @@ ENGINES = tuple(_ENGINES)
 
 def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarray:
     """rho0 (complex 8x8) times exp(the free phase + the named engine's integrals @ weights) on a checked time grid,
-    after checking the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check."""
+    after checking the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check,
+    which blames the free phase where the bath's exponents are finite."""
     if engine not in _ENGINES:
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     integrals, weights = _ENGINES[engine]
@@ -96,7 +97,9 @@ def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarr
         expo = (integrals(bath, times)[:, used] @ table[used]).reshape(-1, 8, 8)
         factors = np.exp((-0.5j * OMEGA0 * times[:, None, None]) * _DZ + expo)
         if not np.isfinite(factors).all():
-            raise ValueError(_OVERFLOW.format(t=times[-1], b=bath))
+            what = ("the free phase 0.5 |Z_m - Z_n| t overflows" if np.isfinite(expo).all()
+                    else "bath kernels overflow")
+            raise ValueError(_OVERFLOW.format(what=what, t=times[-1], b=bath))
         return rho0 * factors
 
 

@@ -71,8 +71,6 @@ ENGINE_ALIASES = {"closed_form": "closed_form", "closed-form": "closed_form", "o
 _SCENARIO_FIELDS = ("state", "p", "topology", "memory", "eta", "lambda", "kbt",
                     "t_max", "n_points", "engine", "output")
 
-FIGURE_IDS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "fig5")
-
 _PANELS = (("a", "common", "markov"),
            ("b", "local", "markov"),
            ("c", "common", "non_markov"),
@@ -80,6 +78,15 @@ _PANELS = (("a", "common", "markov"),
 _FIG2_STATES = ("ghz", "w", "wwbar", "star")
 _FIGURE_MIXTURES = {"fig3": "ghz-w", "fig4": "werner-ghz", "fig5": "werner-w"}
 _MIXTURE_PS = (0.1, 0.5, 0.9)
+# each figure id's config entries, in the order reproduce writes them
+_BUNDLES = ({f"fig2{panel}": [{"state": name, "topology": topology, "memory": memory,
+                               "output": f"fig2{panel}_{name}.csv"} for name in _FIG2_STATES]
+             for panel, topology, memory in _PANELS}
+            | {figure_id: [{"state": name, "p": p, "topology": topology, "memory": memory,
+                            "output": f"{figure_id}{panel}_{name}_p{p:g}.csv"}
+                           for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
+               for figure_id, name in _FIGURE_MIXTURES.items()})
+FIGURE_IDS = tuple(_BUNDLES)
 
 
 class ConfigError(ValueError):
@@ -295,24 +302,11 @@ def run_scenarios(scenarios, out_dir) -> list[RunResult]:
 
 
 def figure_scenarios(figure_id: str) -> list[ScenarioConfig]:
-    """Scenario bundle behind one figure id.
-
-    fig2a..fig2d sweep the four pure states through one panel each
-    (a common/markov, b local/markov, c common/non_markov, d local/non_markov);
-    fig3, fig4 and fig5 sweep ghz-w, werner-ghz and werner-w mixtures at
-    p in {0.1, 0.5, 0.9} through all four panels (12 files each), with the
-    closed-form engine on DEFAULT_N_POINTS samples.
-    """
-    if figure_id not in FIGURE_IDS:
+    """Scenario bundle behind one figure id: fig2a..fig2d take the four pure states through
+    one panel each (a common/markov, b local/markov, c common/non_markov, d local/non_markov),
+    fig3, fig4 and fig5 the ghz-w, werner-ghz and werner-w mixtures at p in {0.1, 0.5, 0.9}
+    through all four panels, p innermost (12 files each), all with the closed-form engine on
+    DEFAULT_N_POINTS samples."""
+    if figure_id not in _BUNDLES:
         raise ValueError(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
-
-    if figure_id.startswith("fig2"):
-        topology, memory = next((topo, mem) for pid, topo, mem in _PANELS if pid == figure_id[-1])
-        entries = [{"state": name, "topology": topology, "memory": memory, "output": f"{figure_id}_{name}.csv"}
-                   for name in _FIG2_STATES]
-    else:
-        name = _FIGURE_MIXTURES[figure_id]
-        entries = [{"state": name, "p": p, "topology": topology, "memory": memory,
-                    "output": f"{figure_id}{panel}_{name}_p{p:g}.csv"}
-                   for panel, topology, memory in _PANELS for p in _MIXTURE_PS]
-    return [sc for entry in entries for sc in _expand_scenario(entry, figure_id)]
+    return [sc for entry in _BUNDLES[figure_id] for sc in _expand_scenario(entry, figure_id)]

@@ -238,12 +238,14 @@ SPAN = [1e-320, 1e-300, 1e-160, 1e-10, 1e-2, 1.0, 1e10, 1e160, 1e300, 1.7e308]
 def test_kernels_hold_no_nan_across_the_float_range():
     # every bath of the span whose kbt and kbt / lambda stay below 1e307, with kbt / lambda normal,
     # at t = 0 and every time of the span with kbt t below 1e307: no nan, and a numpy warning only
-    # where a value overflows to inf (gamma = 4 pi eta kbt at eta = 1e300, kbt = 1e10, say)
+    # where a value overflows to inf (gamma = 4 pi eta kbt at eta = 1e300, kbt = 1e10, say).  A bath
+    # with no coupling has exact zero kernels, with no warning, at every bath and time of the span
+    # (M was 0 * inf = nan where lambda t overflows, and gamma where kbt Im psi does)
     checked = 0
-    for eta, lam, kbt in itertools.product([1e-300, 0.1, 1e300], SPAN, SPAN):
-        if not (kbt <= 1e307 and 2.3e-308 < kbt / lam <= 1e307):
+    for eta, lam, kbt in itertools.product([0.0, 1e-300, 0.1, 1e300], SPAN, SPAN):
+        if eta and not (kbt <= 1e307 and 2.3e-308 < kbt / lam <= 1e307):
             continue
-        times = np.array([0.0] + [t for t in SPAN if kbt * t <= 1e307])
+        times = np.array([0.0] + [t for t in SPAN if not eta or kbt * t <= 1e307])
         spec = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, memory="non_markov")
         for kernel in (kernel_rates, kernel_integrals):
             with warnings.catch_warnings(record=True) as caught:
@@ -251,6 +253,8 @@ def test_kernels_hold_no_nan_across_the_float_range():
                 values = kernel(spec, times)
             assert not np.isnan(values).any(), (spec, kernel.__name__)
             assert all("overflow" in str(w.message) for w in caught) and (not caught or np.isinf(values).any())
+            if not eta:
+                assert not caught and not values.any(), (spec, kernel.__name__)
             checked += values.size
     assert checked > 5000
 

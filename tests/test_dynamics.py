@@ -333,7 +333,7 @@ def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, eng
     spoil_kernel(monkeypatch, engine, 0)
     bath = BathSpec(memory="non_markov")
     times = np.linspace(0.0, 0.2, 5) / G0
-    expected = dynamics._OVERFLOW.format(t=times[-1], b=bath)
+    expected = dynamics._OVERFLOW.format(what="bath kernels overflow", t=times[-1], b=bath)
     with pytest.raises(ValueError) as info:
         if entry == "propagate_grid":
             propagate_grid(bath, make_state(StateSpec("ghz")), times, engine)
@@ -373,6 +373,18 @@ def test_an_integral_of_weight_zero_may_overflow(monkeypatch, engine):
     expected = coherence_trace(bath, StateSpec("ghz"), grid, engine)
     spoil_kernel(monkeypatch, engine, 1)
     assert np.array_equal(coherence_trace(bath, StateSpec("ghz"), grid, engine), expected)
+
+
+def test_a_bath_with_no_coupling_moves_nothing_to_the_end_of_the_float_range():
+    # at eta = 0 both kernels are exactly 0: M was 0 * inf = nan where lambda t overflows,
+    # and the closed form raised its overflow error
+    bath = BathSpec(eta=0.0, lambda_cutoff=1e10, kbt=1e-160, memory="non_markov")
+    rho0 = make_state(StateSpec("ghz"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rhos = propagate_grid(bath, rho0, np.linspace(0.0, 1e300, 5))
+    assert np.allclose(np.diagonal(rhos, axis1=1, axis2=2), np.diagonal(rho0), rtol=0.0, atol=1e-12)
+    assert np.allclose(np.abs(rhos[:, 0, 7]), 0.5, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

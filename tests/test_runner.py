@@ -498,6 +498,20 @@ def test_figure_catalog_rejects_unknown_id():
     assert "fig3" in FIGURE_IDS
 
 
+def test_figure_bundles_keep_their_order():
+    # reproduce writes and prints each bundle's files in this order; fig2x sweeps the
+    # pure states, fig3-fig5 the panels a-d with p innermost
+    expected = {f"fig2{panel}": [f"fig2{panel}_{name}.csv" for name in ("ghz", "w", "wwbar", "star")]
+                for panel in "abcd"}
+    for figure_id, name in (("fig3", "ghz-w"), ("fig4", "werner-ghz"), ("fig5", "werner-w")):
+        expected[figure_id] = [f"{figure_id}{panel}_{name}_p{p}.csv" for panel in "abcd" for p in ("0.1", "0.5", "0.9")]
+    assert FIGURE_IDS == tuple(runner._BUNDLES) == tuple(expected)
+    outputs = {figure_id: [sc.output for sc in figure_scenarios(figure_id)] for figure_id in FIGURE_IDS}
+    assert outputs == expected
+    names = [name for names in outputs.values() for name in names]
+    assert len(names) == len(set(names)) == 52
+
+
 def test_reproduce_writes_bundle(tmp_path):
     results = run_scenarios(figure_scenarios("fig2b"), tmp_path)
     assert all(r.ok for r in results)
@@ -667,15 +681,15 @@ OVER_BUDGET = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 0.
                "kbt": (BathSpec(kbt=1e-300, memory="non_markov"), 0.2)}
 # common memory baths whose closed-form factors overflow: M = eta (lambda t - arctan(lambda t)) at
 # lambda t = 1e310, and the free phase 3 t at t = 1e308
-OVERFLOWING = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 1e9),
-               "t_max": (BathSpec(memory="non_markov"), 1e307)}
+# lambda t = 1e310, where the kernels are inf, and the free phase 3 t at t = 1e308, where they are finite
+OVERFLOWING = {"lambda": (BathSpec(lambda_cutoff=1e300, memory="non_markov"), 1e9, "bath kernels overflow"),
+               "t_max": (BathSpec(memory="non_markov"), 1e307, "the free phase 0.5 |Z_m - Z_n| t overflows")}
 
 
 @pytest.mark.parametrize("bath, t_max, engine, error", [
-    pytest.param(bath, t_max, engine, error, id=name if engine == "closed_form" else f"{name}-ode")
-    for engine, error, cases in [("closed_form", "bath kernels overflow", OVERFLOWING),
-                                 ("ode", "over the budget", OVER_BUDGET)]
-    for name, (bath, t_max) in cases.items()])
+    *(pytest.param(bath, t_max, "closed_form", error, id=name) for name, (bath, t_max, error) in OVERFLOWING.items()),
+    *(pytest.param(bath, t_max, "ode", "over the budget", id=f"{name}-ode")
+      for name, (bath, t_max) in OVER_BUDGET.items())])
 def test_overflowing_kernels_fail_naming_the_bath(tmp_path, bath, t_max, engine, error):
     # the factors overflow to inf or nan on these grids; the ode engine's substep
     # count is over its budget before any kernel call
