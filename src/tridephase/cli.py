@@ -13,8 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .runner import (ENGINE_ALIASES, FIGURE_IDS, ConfigError, figure_scenarios,
-                     parse_config, run_scenarios)
+from .dynamics import ENGINES
+from .runner import FIGURE_IDS, ConfigError, figure_scenarios, parse_config, run_scenarios
 from .states import CATALOG
 
 __all__ = ["main"]
@@ -36,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=".", help="directory for CSV output (default: current)")
-    common.add_argument("--engine", choices=sorted(set(ENGINE_ALIASES)), default=None,
-                        help="override the propagation engine for every scenario")
+    common.add_argument("--engine", default=None,
+                        help=f"override the propagation engine for every scenario: {', '.join(ENGINES)}")
     common.add_argument("--points", type=int, default=None,
                         help="override the number of grid points per trace")
 
@@ -52,13 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenarios, engine, points):
-    if engine is not None:
-        scenarios = [replace(sc, engine=ENGINE_ALIASES[engine]) for sc in scenarios]
-    if points is not None:
-        try:
-            scenarios = [replace(sc, n_points=points) for sc in scenarios]
-        except ValueError as exc:
-            raise ConfigError(f"--points: {exc}") from exc
+    for flag, field, value in (("--engine", "engine", engine), ("--points", "n_points", points)):
+        if value is not None:
+            try:
+                scenarios = [replace(sc, **{field: value}) for sc in scenarios]
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
     return scenarios
 
 

@@ -66,9 +66,9 @@ _OVERFLOW = ("{what} on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.la
 def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     """The ode engine's kernel integrals on the grid, shape (len(times), 2): the Magnus
     integrals of the rows gamma(t), mu(t) that weigh the dissipator's rates."""
-    # the Magnus step: with memory 0.05/lambda, as the kernels' nearest complex-time pole lies 1/lambda
-    # off the real axis; a Markov rate is constant, so Simpson's rule is exact at one substep per interval
-    step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" else np.inf
+    # the Magnus step: with memory and coupling 0.05/lambda, as the kernels' nearest complex-time pole lies
+    # 1/lambda off the real axis; else the rows are constant, so Simpson's rule is exact at one substep per interval
+    step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" and bspec.eta > 0 else np.inf
     try:
         return ode_propagate(partial(kernel_rates, bspec), times, step)
     except ValueError as exc:  # the substep budget, checked before any kernel call

@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "RunResult",
-    "ENGINE_ALIASES",
     "FIGURE_IDS",
     "DEFAULT_N_POINTS",
     "MAX_N_POINTS",
@@ -65,8 +64,6 @@ DEFAULT_N_POINTS = 201
 MAX_N_POINTS = 100_001
 # default plot windows in gamma0*t, by memory mode
 DEFAULT_T_MAX = {"markov": 3.0, "non_markov": 0.2}
-
-ENGINE_ALIASES = {"closed_form": "closed_form", "closed-form": "closed_form", "ode": "ode"}
 
 _SCENARIO_FIELDS = ("state", "p", "topology", "memory", "eta", "lambda", "kbt",
                     "t_max", "n_points", "engine", "output")
@@ -110,6 +107,8 @@ class ScenarioConfig:
                 or not 2 <= self.n_points <= MAX_N_POINTS):
             raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
+        if self.engine == "closed-form":  # its second spelling; == lets a YAML list or mapping reach the check
+            object.__setattr__(self, "engine", "closed_form")
         if self.engine not in ENGINES:
             raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {self.engine!r}")
         # a plain file name, so that every CSV lands inside the output directory
@@ -163,9 +162,7 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
     if name in PURE_STATE_NAMES and ps:
         raise _context(label, "p", f"not used by pure state {name!r}; drop it")
     topologies, memories = _sweep(label, entry, "topology"), _sweep(label, entry, "memory")
-    engine = entry.get("engine", "closed_form")
-    engine = ENGINE_ALIASES.get(engine, engine) if isinstance(engine, str) else engine
-    output, t_max = entry.get("output"), entry.get("t_max")
+    engine, output, t_max = entry.get("engine", "closed_form"), entry.get("output"), entry.get("t_max")
 
     # each spec checks its own fields; p varies slowest, memory fastest
     try:

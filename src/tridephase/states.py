@@ -61,7 +61,7 @@ def _density(part: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A named state plus its mixing weight p (ignored for the pure ones)."""
+    """A named state plus its mixing weight p in [0, 1], stored as 1 for the pure ones."""
 
     name: str
     p: float = 1.0
@@ -72,6 +72,8 @@ class StateSpec:
         object.__setattr__(self, "p", check_number("'p'", self.p))
         if self.p > 1.0:
             raise ValueError(f"field 'p': must lie in [0, 1], got {self.p!r}")
+        if self.name in PURE_STATE_NAMES:
+            object.__setattr__(self, "p", 1.0)
 
 
 def make_state(spec: StateSpec) -> np.ndarray:

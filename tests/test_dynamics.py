@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tridephase import dynamics
-from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, kernel_rates, markov_rate
+from tridephase.bath import (DEFAULT_LAMBDA_CUTOFF, MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, kernel_rates,
+                             markov_rate)
 from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.numerics import ode_propagate
@@ -205,13 +206,14 @@ def test_engines_agree_on_mixture():
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 @pytest.mark.parametrize("memory", MEMORIES)
 def test_engines_agree_without_coupling(topology, memory):
-    # eta = 0 leaves only the free phase; no decay rate bounds the ODE step
-    bath = BathSpec(eta=0.0, topology=topology, memory=memory)
+    # eta = 0 leaves only the free phase; no decay rate bounds the ODE step, so even a
+    # memory time 1/lambda of 1e-10 takes one substep per interval, out to t = 1e300
     rho0 = make_state(StateSpec("ghz"))
-    closed = propagate_grid(bath, rho0, [0.0, 5.0])[-1]
-    ode = propagate_grid(bath, rho0, [0.0, 5.0], "ode")[-1]
-    assert np.max(np.abs(closed - ode)) < 1e-12
-    assert abs(ode[0, 7]) == pytest.approx(0.5)
+    for lambda_cutoff, times in ((DEFAULT_LAMBDA_CUTOFF, [0.0, 5.0]), (1e10, [0.0, 5.0, 1e300])):
+        bath = BathSpec(eta=0.0, lambda_cutoff=lambda_cutoff, topology=topology, memory=memory)
+        ode = propagate_grid(bath, rho0, times, "ode")
+        assert np.array_equal(ode, propagate_grid(bath, rho0, times))
+        assert abs(ode[-1, 0, 7]) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tridephase import measures
+from tridephase.bath import BathSpec
+from tridephase.dynamics import propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import CATALOG, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
 
@@ -114,6 +116,71 @@ def test_coherence_invariant_under_diagonal_phases():
     u = np.diag(phases)
     rotated = u @ rho @ u.conj().T
     assert abs(rel_entropy_coherence(rotated) - rel_entropy_coherence(rho)) < 1e-10
+
+
+# ----------------------------------------------------------------- spectrum
+# C_R's eigh of (rho + rho^dag)/2 is the package's one spectrum
+
+def test_coherence_of_maximally_mixed_is_exactly_zero():
+    assert rel_entropy_coherence(np.eye(8) / 8.0) == 0.0
+
+
+def test_entropy_sums_the_spectrum_largest_first():
+    # the entropy sums the spectrum largest first, the order the reference CSVs
+    # hold.  Here five exact eigenvalues of 1e-18 add terms of 4.1e-17 each:
+    # more than half a unit in the last place of the 0.9/0.1 block's entropy
+    # (0.325) and less than half a unit of the populations' (0.693).  Largest
+    # first, each rounds up the first sum and vanishes from the second;
+    # smallest first, they add up before either.  The two orders end 6 units
+    # in the last place apart, and still 5 with the block's eigenvalues moved
+    # by up to 4 units each, so the example does not rest on how a BLAS kernel
+    # rounds them
+    def entropy(spectrum):
+        positive = spectrum[spectrum > 0.0]
+        return -np.sum(positive * np.log(positive))
+
+    rho = np.zeros((8, 8), complex)
+    rho[:2, :2] = [[0.5, 0.4], [0.4, 0.5]]
+    rho[2:7, 2:7] = np.diag(np.full(5, 1e-18))
+    populations, spectrum = np.sort(np.diag(rho).real), np.linalg.eigh((rho + rho.conj().T) / 2.0)[0]
+    descending = entropy(populations[::-1]) - entropy(spectrum[::-1])
+    assert descending != entropy(populations) - entropy(spectrum)
+    assert rel_entropy_coherence(rho) == descending
+
+
+def test_coherence_of_a_random_pure_state_is_its_population_entropy():
+    # S vanishes on a pure state, so C_R is the entropy of its populations
+    vec = np.random.default_rng(13).normal(size=8) + 1j * np.random.default_rng(14).normal(size=8)
+    vec /= np.linalg.norm(vec)
+    populations = np.abs(vec) ** 2
+    expected = -np.sum(populations * np.log(populations))
+    assert abs(rel_entropy_coherence(np.outer(vec, vec.conj())) - expected) < 1e-12
+
+
+def test_coherence_invariant_under_phased_permutations():
+    # a permutation with phases keeps both the spectrum and the set of populations
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    u = np.eye(8)[rng.permutation(8)] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=8))
+    assert abs(rel_entropy_coherence(u @ rho @ u.conj().T) - rel_entropy_coherence(rho)) < 1e-12
+
+
+def test_coherence_rejects_non_hermitian():
+    m = np.eye(8, dtype=complex) / 8.0
+    m[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="hermiticity 1.000e-03"):
+        rel_entropy_coherence(m)
+
+
+def test_coherence_and_propagate_grid_name_a_wrong_shape():
+    # the message names the shape the caller passed
+    for shape, told in [((2, 8, 4), r"\(2, 8, 4\)"), ((3, 4), r"\(3, 4\)"), ((8,), r"\(8,\)")]:
+        with pytest.raises(ValueError, match=r"^expected an 8x8 matrix or an \(n, 8, 8\) stack, got shape " + told):
+            rel_entropy_coherence(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"^rho0: expected an 8x8 matrix, got shape \(3, 4\)$"):
+        propagate_grid(BathSpec(), np.zeros((3, 4)), [0.0, 1.0])
 
 
 def _not_states():

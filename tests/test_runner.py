@@ -85,6 +85,16 @@ def test_parse_engine_reaches_the_scenario(field, engine):
     assert sc.engine == engine
 
 
+def test_scenario_config_reads_the_second_engine_spelling():
+    # ScenarioConfig reads closed-form, so a config, --engine and replace all take it
+    (scenario,) = parse_config(MINIMAL.replace("markov", "markov\n    engine: ode"))
+    built = ScenarioConfig(state=scenario.state, bath=scenario.bath, t_max=3.0, n_points=3,
+                           engine="closed-form", output="a.csv")
+    for sc in (built, replace(scenario, engine="closed-form")):
+        assert sc.engine == "closed_form"
+        assert trace_csv_bytes(sc, [0.0], [0.0]).decode("ascii").split("\n")[7] == "# engine=closed_form"
+
+
 def test_parse_mixture_sweep_expands_in_order():
     text = """
 scenarios:
@@ -131,6 +141,8 @@ scenarios:
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, n_points: 1}\n", "n_points"),
     (f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, n_points: {MAX_N_POINTS + 1}}}\n", "n_points"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: markov, engine: verlet}\n", "engine"),
+    ("scenarios:\n  - {state: ghz, topology: common, memory: markov, engine: [ode]}\n", "field 'engine'"),
+    ("scenarios:\n  - {state: ghz, topology: common, memory: markov, engine: {a: 1}}\n", "field 'engine'"),
     ("scenarios:\n  - {state: werner-w, p: [], topology: common, memory: markov}\n", "field 'p'"),
     ("scenarios:\n  - {state: ghz, topology: [], memory: markov}\n", "field 'topology'"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: []}\n", "field 'memory'"),
@@ -336,6 +348,12 @@ def test_csv_layout():
     assert len(lines) == 9 + 5 + 1
 
 
+def test_csv_header_gives_a_pure_state_weight_one():
+    scenario, grid, values = w_trace()
+    header = trace_csv_bytes(replace(scenario, state=StateSpec("w", 0.3)), grid, values).decode("ascii")
+    assert header.split("\n")[1] == "# p=1"
+
+
 def test_csv_uses_nine_significant_digits():
     raw = trace_csv_bytes(*w_trace())
     assert b"1.09861229" in raw
@@ -539,6 +557,9 @@ def test_cli_run_engine_and_points_override(tmp_path):
     assert code == 0
     data = (tmp_path / "ghz_common_markov.csv").read_bytes()
     assert data.count(b"\n") == 9 + 3
+    # the second spelling writes what the default engine writes
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "default"), "--points", "3"]) == 0
+    assert (tmp_path / "default" / "ghz_common_markov.csv").read_bytes() == data
 
 
 def test_cli_run_engine_ode_reaches_the_csv(tmp_path):
@@ -566,6 +587,17 @@ def test_cli_rejects_points_past_the_bound(tmp_path, capsys, command):
     target = str(cfg) if command == "run" else "fig2a"
     assert main([command, target, "--out-dir", str(tmp_path / "out"), "--points", str(MAX_N_POINTS + 1)]) == 2
     assert f"--points: field 'n_points': must be an integer in [2, {MAX_N_POINTS}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+def test_cli_rejects_an_unknown_engine(tmp_path, capsys, command):
+    cfg = tmp_path / "traces.yaml"
+    cfg.write_text(MINIMAL)
+    target = str(cfg) if command == "run" else "fig2a"
+    assert main([command, target, "--out-dir", str(tmp_path / "out"), "--engine", "bogus"]) == 2
+    assert capsys.readouterr().err == ("error: --engine: field 'engine': must be one of closed_form, ode; "
+                                       "got 'bogus'\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -218,6 +218,14 @@ def test_state_spec_stores_a_float_weight():
         assert spec.p == float(p) and type(spec.p) is float
 
 
+def test_state_spec_stores_weight_one_for_a_pure_state():
+    # p only mixes the two parts of a mixture, so a pure state's is 1 once it passes the range check
+    assert StateSpec("ghz", 0.3) == StateSpec("ghz")
+    assert StateSpec("w", np.float32(0.0)).p == 1.0
+    with pytest.raises(ValueError, match="field 'p'"):
+        StateSpec("ghz", 1.5)
+
+
 def test_name_catalogs_are_disjoint():
     assert set(PURE_STATE_NAMES) | set(MIXED_STATE_NAMES) == set(STATE_NAMES)
     assert not set(PURE_STATE_NAMES) & set(MIXED_STATE_NAMES)
