@@ -59,6 +59,9 @@ _WEIGHTS = {topology: np.stack([apply(np.ones((8, 8))) for apply in maps]).resha
 _CLOSED = {"common": np.array([-_DZ ** 2 / 2.0, 1j * (_Z[:, None] ** 2 - _Z[None, :] ** 2)]).reshape(2, 64),
            "local": np.array([-2 * (_BITS[:, None, :] != _BITS[None, :, :]).sum(axis=-1),
                               np.zeros((8, 8))]).reshape(2, 64)}
+# Magnus substeps the ode engine may take for one trace; it bounds the stage-time and coefficient
+# tables, and such a trace takes 0.35-0.6 s on a 2-core host, nearly all of it in the kernels
+_MAX_SUBSTEPS = 200_000
 _OVERFLOW = ("{what} on the grid to t = {t:g} at eta = {b.eta:g}, lambda = {b.lambda_cutoff:g}, "
              "kbt = {b.kbt:g}; shorten t_max or change them")
 
@@ -69,14 +72,18 @@ def _ode_integrals(bspec: BathSpec, times: np.ndarray) -> np.ndarray:
     # the Magnus step: with memory and coupling 0.05/lambda, as the kernels' nearest complex-time pole lies
     # 1/lambda off the real axis; else the rows are constant, so Simpson's rule is exact at one substep per interval
     step = 0.05 / bspec.lambda_cutoff if bspec.memory == "non_markov" and bspec.eta > 0 else np.inf
-    try:
-        return ode_propagate(partial(kernel_rates, bspec), times, step)
-    except ValueError as exc:  # the substep budget, checked before any kernel call
+    # substeps per interval and in all as floats, inf where they overflow, so a count past 2^63 cannot wrap
+    with np.errstate(over="ignore"):
+        substeps = np.maximum(1.0, np.ceil(np.diff(times) / step))
+        total = np.sum(substeps)
+    if total > _MAX_SUBSTEPS:  # before any table is built or any kernel called
         # with no interval split, the grid's points alone are over the budget
-        advice = ("use fewer grid points or engine closed_form" if np.all(np.diff(times) <= step)
+        advice = ("use fewer grid points or engine closed_form" if total == len(times) - 1
                   else "lower lambda, shorten t_max or use engine closed_form")
-        raise ValueError(f"engine ode: {exc}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
-                         f"kbt = {bspec.kbt:g}; {advice}") from exc
+        raise ValueError(f"engine ode: {total:.7g} Magnus substeps to reach t = {times[-1]:g}, over the budget of "
+                         f"{_MAX_SUBSTEPS}, at eta = {bspec.eta:g}, lambda = {bspec.lambda_cutoff:g}, "
+                         f"kbt = {bspec.kbt:g}; {advice}")
+    return ode_propagate(partial(kernel_rates, bspec), times, substeps.astype(int))
 
 
 # each engine's integrals of (bath, times) and its weight tables by topology

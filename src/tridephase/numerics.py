@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,11 +27,6 @@ __all__ = [
     "digamma_im",
     "ode_propagate",
 ]
-
-# Magnus substeps ode_propagate may take for one trace; it bounds the stage-time
-# and coefficient tables, and such a trace of the ode engine takes 0.35-0.6 s
-# on a 2-core host, nearly all of it in the kernels
-_MAX_SUBSTEPS = 200_000
 
 # Stirling series: Bernoulli numbers B_2k for k = 1..7, the exponents 2k and
 # 2k - 1, and the smallest real part at which the series is applied.  At
@@ -156,7 +151,7 @@ def digamma_im(c: float, y):
     return theta + lorentzian(y, w) / 2.0 + series.sum(axis=-1) + shifted.sum(axis=-1)
 
 
-def ode_propagate(coefficients: Callable, grid: Sequence[float], max_step: float) -> np.ndarray:
+def ode_propagate(coefficients: Callable, grid: np.ndarray, substeps: np.ndarray) -> np.ndarray:
     """The integrals int_0^t c(s) ds of the P coefficient rows c at every point t of a grid
     from 0, strictly increasing (0 at t = 0), shape (len(grid), P).
 
@@ -164,35 +159,18 @@ def ode_propagate(coefficients: Callable, grid: Sequence[float], max_step: float
     dy/dt = (c(t) @ weights) * y from y = 1: each equation is scalar, so its rates commute
     and the Magnus series stops at its first term (Blanes, Casas, Oteo & Ros, Phys. Rep.
     470, 151 (2009)).  The fourth-order Magnus step takes that integral by Simpson's rule,
-    h/6 (c0 + 4 cm + c1) per substep, exact for coefficients cubic in t.  Substeps are
-    uniform within an interval and no longer than ``max_step`` (one per interval at inf).
-    Their stage times t, t + h/2, t + h, shape (substeps, 3), go through ``coefficients``
-    in one call, which returns the rows c, shape (substeps, 3, P); the substeps' integrals
-    are summed across intervals and read off at every grid point.
+    h/6 (c0 + 4 cm + c1) per substep, exact for coefficients cubic in t.  Interval i takes
+    ``substeps[i]`` uniform substeps.  Their stage times t, t + h/2, t + h, shape (substeps, 3),
+    go through ``coefficients`` in one call, which returns the rows c, shape (substeps, 3, P);
+    the substeps' integrals are summed across intervals and read off at every grid point.
 
-    A ``max_step`` of 0 asks for infinitely many substeps.  The count is summed
-    in floating point and checked against the budget of _MAX_SUBSTEPS before
-    the int cast and the tables, so a count past 2^63 cannot wrap under it.
-
-    Raises ValueError for a malformed grid or max_step, or a trace over the
-    substep budget; non-finite rows give non-finite integrals, left to the caller.
+    The caller checks both inputs: the grid as check_time(grid=True) does, the counts as integers
+    >= 1 within its work budget.  Non-finite rows give non-finite integrals, left to the caller.
     """
-    times = check_time(grid, grid=True)
-    if not max_step >= 0.0:
-        raise ValueError(f"max_step must be >= 0, got {max_step!r}")
-
-    spans = np.diff(times)
-    # substeps per interval and in all as floats: inf where they overflow, or at a step of 0
-    with np.errstate(over="ignore", divide="ignore"):
-        n_sub = np.maximum(1.0, np.ceil(spans / max_step))
-        total = np.sum(n_sub)
-    if total > _MAX_SUBSTEPS:
-        raise ValueError(f"{total:.7g} Magnus substeps to reach t = {times[-1]:g}, over the budget of {_MAX_SUBSTEPS}")
-    n_sub = n_sub.astype(int)
-    stop = np.cumsum(n_sub)
-    h = np.repeat(spans / n_sub, n_sub)
-    # t = t0 + j h with j = 0 .. n_sub - 1 within each interval
-    t = np.repeat(times[:-1], n_sub) + (np.arange(len(h)) - np.repeat(stop - n_sub, n_sub)) * h
+    stop = np.cumsum(substeps)
+    h = np.repeat(np.diff(grid) / substeps, substeps)
+    # t = t0 + j h with j = 0 .. substeps - 1 within each interval
+    t = np.repeat(grid[:-1], substeps) + (np.arange(len(h)) - np.repeat(stop - substeps, substeps)) * h
     c0, cm, c1 = coefficients(np.stack([t, t + h / 2.0, t + h], axis=-1)).swapaxes(0, 1)
     running = np.cumsum((h / 6.0)[:, None] * (c0 + 4.0 * cm + c1), axis=0)
     return np.concatenate([np.zeros((1, running.shape[1])), running[stop - 1]])

@@ -107,6 +107,9 @@ class ScenarioConfig:
                 or not 2 <= self.n_points <= MAX_N_POINTS):
             raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
+        if not (np.diff(np.linspace(0.0, self.t_max, self.n_points)) > 0.0).all():  # as at a subnormal t_max
+            raise ValueError(f"fields 't_max', 'n_points': {self.n_points} points to t_max = {self.t_max!r} "
+                             "are not strictly increasing; raise t_max or lower n_points")
         if self.engine == "closed-form":  # its second spelling; == lets a YAML list or mapping reach the check
             object.__setattr__(self, "engine", "closed_form")
         if self.engine not in ENGINES:
@@ -162,9 +165,8 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
     if name in PURE_STATE_NAMES and ps:
         raise _context(label, "p", f"not used by pure state {name!r}; drop it")
     topologies, memories = _sweep(label, entry, "topology"), _sweep(label, entry, "memory")
-    engine, output, t_max = entry.get("engine", "closed_form"), entry.get("output"), entry.get("t_max")
 
-    # each spec checks its own fields; p varies slowest, memory fastest
+    # each spec checks its own fields, nulls too (get fills only a missing key); p varies slowest, memory fastest
     try:
         states = [StateSpec(name, p) for p in ps] or [StateSpec(name)]
         baths = [BathSpec(eta=entry.get("eta", DEFAULT_ETA),
@@ -172,13 +174,14 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
                           kbt=entry.get("kbt", DEFAULT_KBT), topology=topology, memory=memory)
                  for topology in topologies for memory in memories]
         scenarios = [ScenarioConfig(state=state, bath=bath,
-                                    t_max=DEFAULT_T_MAX[bath.memory] if t_max is None else t_max,
-                                    n_points=entry.get("n_points", DEFAULT_N_POINTS), engine=engine,
-                                    output=_auto_output(state, bath) if output is None else output)
+                                    t_max=entry.get("t_max", DEFAULT_T_MAX[bath.memory]),
+                                    n_points=entry.get("n_points", DEFAULT_N_POINTS),
+                                    engine=entry.get("engine", "closed_form"),
+                                    output=entry.get("output", _auto_output(state, bath)))
                      for state in states for bath in baths]
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
-    if output is not None and len(scenarios) > 1:
+    if "output" in entry and len(scenarios) > 1:
         raise _context(label, "output", f"fixed name with a sweep of {len(scenarios)} scenarios; "
                                         "drop 'output' to use automatic names")
     return scenarios

@@ -467,18 +467,20 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
     # the stage-time table has one row per Magnus substep: one per grid interval,
     # as a Markov rate is constant and the memory step 0.05 / lambda = 5 exceeds
     # the spacing 0.01 of the 200 intervals to t = 2
-    taken = []
+    taken, counts = [], []
 
-    def counting(coefficients, grid, max_step):
+    def counting(coefficients, grid, per_interval):
         def table(stages):
             taken.append(len(stages))
             return coefficients(stages)
-        return ode_propagate(table, grid, max_step)
+        counts.append(per_interval)
+        return ode_propagate(table, grid, per_interval)
 
     monkeypatch.setattr(dynamics, "ode_propagate", counting)
     coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"),
                     np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201), "ode")
     assert taken == [substeps]
+    assert len(counts) == 1 and np.array_equal(counts[0], np.ones(200))
 
 
 # ------------------------------------------------------------------- traces

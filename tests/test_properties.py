@@ -208,6 +208,9 @@ def test_every_config_reads_as_the_python_safe_loader_reads_it(cfg):
 # rounded phases leave star's min eigenvalue near -2e-8, past what C_R allows
 @example({"state": "star", "p": 1.0, "topology": "local", "memory": "markov", "eta": 1.0,
           "lambda": 0.01, "kbt": 5.7e-19, "t_max": 5.6e-9, "n_points": 201, "engine": "closed_form"})
+# linspace to a subnormal t_max rounds 201 points to repeats
+@example({"state": "ghz", "p": 1.0, "topology": "common", "memory": "markov", "eta": 0.1,
+          "lambda": 0.01, "kbt": 0.0795774715, "t_max": 5e-324, "n_points": 201, "engine": "closed_form"})
 @given(config_domain)
 def test_every_config_writes_bounded_coherence_or_names_a_field(cfg):
     with tempfile.TemporaryDirectory() as out:

@@ -147,6 +147,13 @@ scenarios:
     ("scenarios:\n  - {state: ghz, topology: [], memory: markov}\n", "field 'topology'"),
     ("scenarios:\n  - {state: ghz, topology: common, memory: []}\n", "field 'memory'"),
     ("defaults: {topology: []}\nscenarios:\n  - {state: ghz, memory: markov}\n", "field 'topology'"),
+    # a null is the field's value, checked as in eta or n_points, not a request for the default
+    ("scenarios:\n  - {state: ghz, topology: common, memory: markov, t_max: null}\n",
+     "field 't_max': expected a number, got None"),
+    ("scenarios:\n  - {state: ghz, topology: common, memory: markov, output: null}\n",
+     "field 'output': must be a plain file name, got None"),
+    ("defaults: {t_max: null}\nscenarios:\n  - {state: ghz, topology: common, memory: markov}\n",
+     "field 't_max': expected a number, got None"),
 ])
 def test_parse_errors_name_the_field(text, needle):
     with pytest.raises(ConfigError) as info:
@@ -599,6 +606,21 @@ def test_cli_rejects_an_unknown_engine(tmp_path, capsys, command):
     assert capsys.readouterr().err == ("error: --engine: field 'engine': must be one of closed_form, ode; "
                                        "got 'bogus'\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_points, override, status", [(201, [], 2), (2, ["--points", "201"], 2), (2, [], 0)],
+                         ids=["config", "--points", "two-points"])
+def test_cli_rejects_a_grid_that_collapses(tmp_path, capsys, n_points, override, status):
+    # linspace rounds 201 points to the subnormal t_max = 5e-324 to repeats, which the config check names;
+    # 2 points, 0 and t_max, stay strictly increasing
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, t_max: 5.0e-324, "
+                   f"n_points: {n_points}}}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), *override]) == status
+    if status == 2:
+        err = capsys.readouterr().err
+        assert "'t_max'" in err and "'n_points'" in err and "not strictly increasing" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_reproduce(tmp_path, capsys):
