@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
+from .bath import BathSpec, kernel_integrals, kernel_rates
 from .measures import rel_entropy_coherence
 from .numerics import check_time, ode_propagate
 from .states import STATE_BOUNDS, StateSpec, check_states, make_state
@@ -131,24 +131,13 @@ def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> 
     return out
 
 
-def coherence_trace(bath: BathSpec, state: StateSpec, gamma0_t, engine: str = "closed_form") -> np.ndarray:
-    """The relative entropy of coherence at each point of a gamma0*t grid.
-
-    The grid is dimensionless (gamma0 * t, the x axis of all the plots);
-    actual times are gamma0_t / gamma0.  ValueError, naming the bath and
-    t_max, if those times are not finite and strictly increasing (gamma0 is
-    0 at eta = 0, and the division can underflow, or overflow: the grid's end
-    is divided first as a float, which warns of nothing), or if the states or
-    C_R fail their checks, as at large phases, where rounding can leave no state.
-    """
-    grid = check_time(gamma0_t, grid=True)
-    g0 = markov_rate(bath)
-    where = (f"on the gamma0*t grid to t_max = {grid[-1]:g} at eta = {bath.eta:g}, "
-             f"lambda = {bath.lambda_cutoff:g}, kbt = {bath.kbt:g}")
-    if not (g0 > 0.0 and float(grid[-1]) / g0 < np.inf and (np.diff(times := grid / g0) > 0.0).all()):
-        raise ValueError(f"no finite, strictly increasing times {where} (gamma0 = 4 pi eta kbt = {g0:g})")
+def coherence_trace(bath: BathSpec, state: StateSpec, times, engine: str = "closed_form") -> np.ndarray:
+    """The relative entropy of coherence on propagate_grid's time grid (the plots' gamma0*t axis
+    over markov_rate(bath)).  ValueError if the grid is not one, or if the states or C_R fail
+    their checks, as at large phases, where rounding can leave no state; these name the bath."""
+    times = check_time(times, grid=True)
     rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
     try:  # C_R's check is the output check, and the check of the catalog's rho0 (sample 0)
         return rel_entropy_coherence(rhos)
     except ValueError as exc:
-        raise ValueError(f"{exc}, {where}; shorten t_max or change them") from exc
+        raise ValueError(_OVERFLOW.format(what=exc, t=times[-1], b=bath)) from exc

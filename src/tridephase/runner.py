@@ -33,11 +33,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 from yaml.composer import Composer
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.cyaml import CParser
 from yaml.resolver import Resolver
 
-from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec
+from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec, markov_rate
 from .dynamics import ENGINES, coherence_trace
 from .numerics import check_number
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, StateSpec
@@ -107,9 +107,12 @@ class ScenarioConfig:
                 or not 2 <= self.n_points <= MAX_N_POINTS):
             raise ValueError(f"field 'n_points': must be an integer in [2, {MAX_N_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
-        if not (np.diff(np.linspace(0.0, self.t_max, self.n_points)) > 0.0).all():  # as at a subnormal t_max
-            raise ValueError(f"fields 't_max', 'n_points': {self.n_points} points to t_max = {self.t_max!r} "
-                             "are not strictly increasing; raise t_max or lower n_points")
+        # the times grid / gamma0: gamma0 is 0 at eta = 0 and can underflow; the end is divided first, as a float
+        if not ((g0 := markov_rate(self.bath)) > 0.0 and self.t_max / g0 < np.inf
+                and (np.diff(np.linspace(0.0, self.t_max, self.n_points) / g0) > 0.0).all()):
+            raise ValueError(f"fields 'eta', 'kbt', 't_max', 'n_points': {self.n_points} points to gamma0*t = "
+                             f"{self.t_max!r} at gamma0 = 4 pi eta kbt = {g0!r} give times that overflow or are "
+                             "not strictly increasing")
         if self.engine == "closed-form":  # its second spelling; == lets a YAML list or mapping reach the check
             object.__setattr__(self, "engine", "closed_form")
         if self.engine not in ENGINES:
@@ -198,6 +201,14 @@ class _Loader(Composer, CParser, SafeConstructor, Resolver):
         SafeConstructor.__init__(self)
         Resolver.__init__(self)
 
+    def construct_mapping(self, node, deep=False):  # a scalar key given twice is an error, a '<<' merge's is not
+        seen = set()
+        for key in (k for k, _ in node.value if isinstance(k.value, str) and k.tag != "tag:yaml.org,2002:merge"):
+            if (key.tag, key.value) in seen:
+                raise ConstructorError(None, None, f"found the key {key.value!r} twice", key.start_mark)
+            seen.add((key.tag, key.value))
+        return super().construct_mapping(node, deep)
+
 
 def parse_config(text: str) -> list[ScenarioConfig]:
     """Parse a YAML config document into fully resolved scenarios.
@@ -265,7 +276,7 @@ def trace_csv_bytes(scenario: ScenarioConfig, gamma0_t, values) -> bytes:
 
 def _run_one(scenario: ScenarioConfig, out_dir: Path) -> Path:
     grid = np.linspace(0.0, scenario.t_max, scenario.n_points)
-    values = coherence_trace(scenario.bath, scenario.state, grid, scenario.engine)
+    values = coherence_trace(scenario.bath, scenario.state, grid / markov_rate(scenario.bath), scenario.engine)
     path = out_dir / scenario.output
     # render into a temp file beside the target and rename it into place, so
     # a failure never leaves a partial CSV; the temp name is short and random,

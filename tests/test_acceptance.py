@@ -69,7 +69,7 @@ def test_criterion_01_initial_coherences():
 
 
 def test_criterion_02_w_state_flat_in_common_markov_bath():
-    values = coherence_trace(_bath("common", "markov"), StateSpec("w"), np.linspace(0.0, 3.0, 21))
+    values = coherence_trace(_bath("common", "markov"), StateSpec("w"), np.linspace(0.0, 3.0, 21) / G0)
     dev = float(np.max(np.abs(values - math.log(3.0))))
     assert _verdict(2, dev < 1e-9, f"w coherence constant at ln 3, max dev {dev:.2e}")
 
@@ -115,10 +115,10 @@ def test_criterion_07_werner_w_initial_coherences():
 
 
 def test_criterion_08_werner_w_flat_in_common_markov_bath():
-    grid = np.linspace(0.0, 3.0, 21)
+    times = np.linspace(0.0, 3.0, 21) / G0
     worst = 0.0
     for p in (0.1, 0.5, 0.9):
-        values = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), grid)
+        values = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), times)
         worst = max(worst, float(np.max(np.abs(values - values[0]))))
     assert _verdict(8, worst < 1e-9, f"werner-w constant under common markov bath, "
                                      f"max drift {worst:.2e} over p in {{0.1, 0.5, 0.9}}")

@@ -247,7 +247,7 @@ def test_ode_work_budget_holds_past_2_63_substeps(bath, t_max):
     # 1e298 substeps or more: an int cast of the counts would wrap under the budget.
     # A Markov trace takes one substep per grid interval, so only memory gets here.
     with pytest.raises(ValueError, match="over the budget") as info:
-        coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, t_max, 201), "ode")
+        coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, t_max, 201) / markov_rate(bath), "ode")
     message = str(info.value)
     for field in (f"eta = {bath.eta:g}", f"lambda = {bath.lambda_cutoff:g}", f"kbt = {bath.kbt:g}"):
         assert field in message
@@ -271,7 +271,7 @@ def test_ode_work_budget_over_the_grid_points_advises_fewer(bath):
 ])
 def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
     bath = BathSpec(eta=eta, lambda_cutoff=lam, kbt=kbt, memory="non_markov")
-    grid = np.linspace(0.0, 1e-300, 5)
+    grid = np.linspace(0.0, 1e-300, 5) / markov_rate(bath)
     if error is None:
         values = coherence_trace(bath, StateSpec("ghz"), grid, engine)
         assert np.allclose(values, math.log(2.0), rtol=0.0, atol=1e-12)
@@ -284,11 +284,12 @@ def test_kernel_and_step_overflows_name_the_bath(eta, lam, kbt, engine, error):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_states_lost_to_rounding_fail_naming_the_bath(engine):
-    # gamma0 t = 1e-6 at eta = 1e-30 is t = 2.5e23: star's phases, rounded
+    # gamma0 t = 1e-6 at eta = 1e-30 is t = 1e24: star's phases, rounded
     # one by one, no longer make a state
+    bath = BathSpec(eta=1e-30)
     with pytest.raises(ValueError, match="violates density-matrix invariants") as info:
-        coherence_trace(BathSpec(eta=1e-30), StateSpec("star"), np.linspace(0.0, 1e-6, 5), engine)
-    for field in ("eta = 1e-30", "lambda = ", "kbt = ", "t_max = 1e-06"):
+        coherence_trace(bath, StateSpec("star"), np.linspace(0.0, 1e-6, 5) / markov_rate(bath), engine)
+    for field in ("on the grid to t = 1e+24 at eta = 1e-30", "lambda = ", "kbt = ", "; shorten t_max or change them"):
         assert field in str(info.value)
 
 
@@ -309,7 +310,7 @@ def test_ode_kernel_rows_must_be_finite(monkeypatch):
         propagate_grid(BathSpec(), make_state(StateSpec("ghz")), [0.0, 2.0], "ode")
     with pytest.raises(ValueError, match="bath kernels overflow on the grid to t = 2 at eta = 0.1, "
                                          "lambda = 0.01, kbt = 0.0795775; shorten t_max"):
-        coherence_trace(BathSpec(), StateSpec("ghz"), [0.0, 0.2], "ode")
+        coherence_trace(BathSpec(), StateSpec("ghz"), np.array([0.0, 0.2]) / G0, "ode")
 
 
 def spoil_kernel(monkeypatch, engine, column):
@@ -340,7 +341,7 @@ def test_both_engines_report_an_inf_kernel_as_the_bath_overflow(monkeypatch, eng
         if entry == "propagate_grid":
             propagate_grid(bath, make_state(StateSpec("ghz")), times, engine)
         else:
-            coherence_trace(bath, StateSpec("ghz"), times * G0, engine)
+            coherence_trace(bath, StateSpec("ghz"), times, engine)
     assert str(info.value) == expected and info.value.__context__ is None
 
 
@@ -360,7 +361,8 @@ def test_a_trace_calls_its_bath_kernel_once(monkeypatch, engine, kernel, topolog
     monkeypatch.setitem(dynamics._ENGINES, "closed_form",
                         (counted("kernel_integrals", kernel_integrals), dynamics._CLOSED))
     monkeypatch.setattr(dynamics, "kernel_rates", counted("kernel_rates", kernel_rates))
-    coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"), np.linspace(0.0, 0.2, 201), engine)
+    bath = BathSpec(topology=topology, memory=memory)
+    coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, 0.2, 201) / markov_rate(bath), engine)
     assert calls == [kernel]
 
 
@@ -371,10 +373,11 @@ def test_the_closed_form_engine_is_the_bath_integrals():
 @pytest.mark.parametrize("engine", ENGINES)
 def test_an_integral_of_weight_zero_may_overflow(monkeypatch, engine):
     # a local bath's Lamb shift multiplies sigma_z^2 = 1 and drops out, so an inf Lamb kernel moves no element
-    bath, grid = BathSpec(topology="local", memory="non_markov"), np.linspace(0.0, 0.2, 5)
-    expected = coherence_trace(bath, StateSpec("ghz"), grid, engine)
+    bath = BathSpec(topology="local", memory="non_markov")
+    times = np.linspace(0.0, 0.2, 5) / markov_rate(bath)
+    expected = coherence_trace(bath, StateSpec("ghz"), times, engine)
     spoil_kernel(monkeypatch, engine, 1)
-    assert np.array_equal(coherence_trace(bath, StateSpec("ghz"), grid, engine), expected)
+    assert np.array_equal(coherence_trace(bath, StateSpec("ghz"), times, engine), expected)
 
 
 def test_a_bath_with_no_coupling_moves_nothing_to_the_end_of_the_float_range():
@@ -441,7 +444,8 @@ def test_traces_read_the_topology_tables_built_at_import(monkeypatch):
         monkeypatch.setitem(dynamics._DISSIPATORS, topology, (refuse, refuse))
     for engine in ENGINES:
         for topology in TOPOLOGIES:
-            values = coherence_trace(BathSpec(topology=topology), StateSpec("ghz"), np.linspace(0.0, 1.0, 5), engine)
+            values = coherence_trace(BathSpec(topology=topology), StateSpec("ghz"), np.linspace(0.0, 1.0, 5) / G0,
+                                     engine)
             assert values[0] == pytest.approx(math.log(2.0))
 
 
@@ -477,8 +481,9 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
         return ode_propagate(table, grid, per_interval)
 
     monkeypatch.setattr(dynamics, "ode_propagate", counting)
-    coherence_trace(BathSpec(topology=topology, memory=memory), StateSpec("ghz"),
-                    np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201), "ode")
+    bath = BathSpec(topology=topology, memory=memory)
+    times = np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201) / markov_rate(bath)
+    coherence_trace(bath, StateSpec("ghz"), times, "ode")
     assert taken == [substeps]
     assert len(counts) == 1 and np.array_equal(counts[0], np.ones(200))
 
@@ -486,22 +491,22 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
 # ------------------------------------------------------------------- traces
 
 def test_trace_w_state_is_flat():
-    values = coherence_trace(COMMON_M, StateSpec("w"), np.linspace(0.0, 3.0, 7))
+    values = coherence_trace(COMMON_M, StateSpec("w"), np.linspace(0.0, 3.0, 7) / G0)
     assert np.max(np.abs(values - math.log(3.0))) < 1e-10
 
 
 def test_trace_initial_points():
-    values = coherence_trace(COMMON_M, StateSpec("ghz"), np.array([0.0]))
+    values = coherence_trace(COMMON_M, StateSpec("ghz"), np.array([0.0]) / G0)
     assert abs(values[0] - math.log(2.0)) < 1e-12
-    values = coherence_trace(LOCAL_M, StateSpec("werner-w", p=0.1), np.array([0.0]))
+    values = coherence_trace(LOCAL_M, StateSpec("werner-w", p=0.1), np.array([0.0]) / G0)
     assert abs(values[0] - 0.0216114649) < 1e-3
 
 
 def test_trace_is_one_c_r_per_grid_point_closed_form_by_default():
-    grid = np.linspace(0.0, 1.0, 3)
-    values = coherence_trace(COMMON_M, StateSpec("ghz"), grid)
-    assert values.shape == grid.shape
-    rhos = propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid / markov_rate(COMMON_M), "closed_form")
+    times = np.linspace(0.0, 1.0, 3) / G0
+    values = coherence_trace(COMMON_M, StateSpec("ghz"), times)
+    assert values.shape == times.shape
+    rhos = propagate_grid(COMMON_M, make_state(StateSpec("ghz")), times, "closed_form")
     # C_R of the stack is the per-matrix C_R, bit for bit
     assert np.array_equal(values, rel_entropy_coherence(rhos))
     assert np.array_equal(values, [rel_entropy_coherence(rho) for rho in rhos])
@@ -522,18 +527,30 @@ def test_trace_takes_one_eigensolve_per_sample(monkeypatch):
 
     for name in shapes:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    coherence_trace(COMMON_NM, StateSpec("ghz"), np.linspace(0.0, 0.2, 201))
+    coherence_trace(COMMON_NM, StateSpec("ghz"), np.linspace(0.0, 0.2, 201) / G0)
     assert shapes == {"eigh": [(8, 8)] * 201, "eigvalsh": [(201, 8, 8)]}
 
 
 def test_trace_names_a_state_that_is_not_a_spec():
     with pytest.raises(ValueError, match="^state: expected a StateSpec, such as StateSpec\\('ghz'\\), got 'ghz'"):
-        coherence_trace(BathSpec(), "ghz", np.linspace(0.0, 1.0, 3))
+        coherence_trace(BathSpec(), "ghz", np.linspace(0.0, 1.0, 3) / G0)
 
 
-def test_trace_rejects_zero_coupling():
-    with pytest.raises(ValueError):
-        coherence_trace(BathSpec(eta=0.0), StateSpec("ghz"), np.array([0.0, 1.0]))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_trace_takes_the_times_of_propagate_grid(engine):
+    # one time convention: the trace is C_R of propagate_grid on the same times, bit for bit
+    bath, state, times = COMMON_NM, StateSpec("star"), np.linspace(0.0, 0.2, 21) / G0
+    expected = rel_entropy_coherence(propagate_grid(bath, make_state(state), times, engine))
+    assert np.array_equal(coherence_trace(bath, state, times, engine), expected)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_trace_at_zero_coupling_keeps_the_c_r_of_rho0(engine, topology):
+    # eta = 0: gamma0 = 0, so there is no gamma0*t axis, but absolute times run; only the free phase moves
+    bath = BathSpec(eta=0.0, topology=topology, memory="non_markov")
+    values = coherence_trace(bath, StateSpec("ghz"), np.linspace(0.0, 100.0, 11), engine)
+    assert np.allclose(values, rel_entropy_coherence(make_state(StateSpec("ghz"))), rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------------- validation

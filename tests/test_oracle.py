@@ -88,7 +88,7 @@ def mp_coherence(rho0: np.ndarray, weights, big_gamma) -> float:
 def printed_errors(scenario, path):
     """(printed, oracle) C_R at every STRIDE-th row of a trace's CSV."""
     rows = path.read_text().splitlines()[9::STRIDE]
-    # the times as coherence_trace forms them
+    # the times as the runner forms them
     times = np.linspace(0.0, scenario.t_max, scenario.n_points)[::STRIDE] / markov_rate(scenario.bath)
     rho0 = make_state(scenario.state)
     assert not rho0.imag.any()

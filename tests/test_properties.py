@@ -86,9 +86,9 @@ scenarios = st.fixed_dictionaries({
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(scenarios)
 def test_trace_matches_per_sample_reference(sc):
-    grid = np.linspace(0.0, sc["t_max"], sc["n_points"])
-    values = coherence_trace(sc["bath"], sc["state"], grid)
-    rhos = propagate_grid(sc["bath"], make_state(sc["state"]), grid / markov_rate(sc["bath"]))
+    times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
+    values = coherence_trace(sc["bath"], sc["state"], times)
+    rhos = propagate_grid(sc["bath"], make_state(sc["state"]), times)
     assert np.array_equal(values, [reference_coherence(rho) for rho in rhos])
 
     herm = np.max(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))), axis=(1, 2))
@@ -102,13 +102,12 @@ def test_trace_matches_per_sample_reference(sc):
 def test_diagonal_is_frozen_and_coherence_never_grows_while_decaying(sc):
     # pure dephasing multiplies rho elementwise by a positive Schur factor of
     # unit diagonal while Gamma(t) grows, an incoherent operation
-    grid = np.linspace(0.0, sc["t_max"], sc["n_points"])
-    times = grid / markov_rate(sc["bath"])
+    times = np.linspace(0.0, sc["t_max"], sc["n_points"]) / markov_rate(sc["bath"])
     rho0 = make_state(sc["state"])
     rhos = propagate_grid(sc["bath"], rho0, times)
     assert np.array_equal(rhos.diagonal(axis1=1, axis2=2), np.tile(np.diag(rho0), (len(times), 1)))
 
-    values = coherence_trace(sc["bath"], sc["state"], grid)
+    values = coherence_trace(sc["bath"], sc["state"], times)
     decaying = np.diff(kernel_integrals(sc["bath"], times)[:, 0]) >= 0.0
     assert np.all(np.diff(values)[decaying] <= 1e-12)
 

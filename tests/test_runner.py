@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from tridephase import runner
-from tridephase.bath import BathSpec
+from tridephase.bath import BathSpec, markov_rate
 from tridephase.cli import main
 from tridephase.dynamics import coherence_trace
 from tridephase.runner import (DEFAULT_N_POINTS, FIGURE_IDS, MAX_N_POINTS, ConfigError,
@@ -218,6 +218,29 @@ def test_parse_allows_a_bare_defaults_key():
     assert len(parse_config(f"defaults:\n{MINIMAL}")) == 1
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("scenarios:\n  - state: ghz\n    topology: common\n    memory: markov\n    eta: 0.1\n    eta: 0.5\n", "eta", 6),
+    ("scenarios:\n  - {state: ghz, topology: common, memory: markov, eta: 0.1, 'eta': 0.5}\n", "eta", 2),
+    ("defaults: {eta: 0.2}\ndefaults: {eta: 0.3}\nscenarios:\n  - {state: ghz, topology: common, memory: markov}\n",
+     "defaults", 2),
+    ("scenarios: []\nscenarios:\n  - {state: ghz, topology: common, memory: markov}\n", "scenarios", 2),
+], ids=["scenario", "quoted", "defaults", "top-level"])
+def test_parse_rejects_a_key_given_twice(text, key, line):
+    # PyYAML alone keeps the last value without a word
+    with pytest.raises(ConfigError, match=f"^invalid YAML at line {line}: found the key '{key}' twice"):
+        parse_config(text)
+
+
+def test_parse_lets_a_key_override_a_merged_one():
+    text = """
+scenarios:
+  - &base {state: ghz, topology: common, memory: markov, eta: 0.1, output: a.csv}
+  - {<<: *base, eta: 0.5, output: b.csv}
+"""
+    first, second = parse_config(text)
+    assert (first.bath.eta, second.bath.eta, second.output) == (0.1, 0.5, "b.csv")
+
+
 def readme_config():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
@@ -289,7 +312,8 @@ def test_parse_rejects_output_that_is_not_a_plain_file_name(output):
 
 @pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
 def test_parse_rejects_booleans(field):
-    text = f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, {field}: true}}\n"
+    p = "" if field == "p" else "p: 0.5, "  # a key given twice is its own error
+    text = f"scenarios:\n  - {{state: werner-w, {p}topology: common, memory: markov, {field}: true}}\n"
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         parse_config(text)
 
@@ -301,7 +325,8 @@ HUGE_INT = "1" + "0" * 400  # too large for a float
 @pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
 def test_parse_rejects_bad_numbers(field, value):
     # booleans are test_parse_rejects_booleans
-    text = f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, {field}: {value}}}\n"
+    p = "" if field == "p" else "p: 0.5, "  # a key given twice is its own error
+    text = f"scenarios:\n  - {{state: werner-w, {p}topology: common, memory: markov, {field}: {value}}}\n"
     with pytest.raises(ConfigError, match=f"scenario 1: field '{field}'"):
         parse_config(text)
 
@@ -336,7 +361,7 @@ def w_trace(n_points=5):
     scenario = ScenarioConfig(state=StateSpec("w"), bath=BathSpec(topology="common", memory="markov"),
                               t_max=3.0, n_points=n_points, engine="closed_form", output="w.csv")
     grid = np.linspace(0.0, 3.0, n_points)
-    return scenario, grid, coherence_trace(scenario.bath, scenario.state, grid)
+    return scenario, grid, coherence_trace(scenario.bath, scenario.state, grid / markov_rate(scenario.bath))
 
 
 def test_csv_layout():
@@ -399,11 +424,12 @@ EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 9.9999999995, 1e300
 
 
 def test_csv_renders_edge_values_as_format_does():
-    # every edge value in both columns and in each header number
+    # every edge value in both columns and in each header number; t_max, which no line prints, keeps
+    # t_max / gamma0 finite at the subnormal gamma0 = 6.4e-322
     scenario = ScenarioConfig(state=StateSpec("werner-w", 2.2250738585072014e-308),
                               bath=BathSpec(eta=5e-324, lambda_cutoff=1.7976931348623157e308,
                                             kbt=9.9999999995, topology="local", memory="non_markov"),
-                              t_max=1e300, n_points=2, engine="ode", output="edge.csv")
+                              t_max=1e-14, n_points=2, engine="ode", output="edge.csv")
     grid, values = np.repeat(EDGE_VALUES, len(EDGE_VALUES)), np.tile(EDGE_VALUES, len(EDGE_VALUES))
     assert trace_csv_bytes(scenario, grid, values) == per_value_csv_bytes(scenario, grid, values)
 
@@ -436,9 +462,9 @@ def test_run_scenarios_empty_is_noop(tmp_path):
 
 
 def test_run_scenarios_isolates_failures(tmp_path):
-    # eta = 0 breaks the gamma0*t axis for the first scenario only
-    bad = ScenarioConfig(state=StateSpec("ghz"), bath=BathSpec(eta=0.0),
-                         t_max=3.0, n_points=4, engine="closed_form",
+    # the bath overflows to t = 1e308 in the first scenario only
+    bad = ScenarioConfig(state=StateSpec("ghz"), bath=BathSpec(),
+                         t_max=1.0e307, n_points=4, engine="closed_form",
                          output="bad.csv")
     good = parse_config(MINIMAL)[0]
     results = run_scenarios([bad, good], tmp_path)
@@ -623,6 +649,20 @@ def test_cli_rejects_a_grid_that_collapses(tmp_path, capsys, n_points, override,
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("fields", ["eta: 0", "eta: 1.0e-10, kbt: 1.0e-300", "eta: 1.0e-10, t_max: 1.0e+300",
+                                    "t_max: 5.0e-324"],
+                         ids=["no-coupling", "gamma0-underflows", "end-overflows", "grid-collapses"])
+def test_cli_rejects_a_config_with_no_times_at_parse(tmp_path, capsys, fields):
+    # the times of the gamma0*t grid, grid / gamma0, are checked before any scenario runs
+    cfg = tmp_path / "axis.yaml"
+    cfg.write_text(f"scenarios:\n  - {{state: ghz, topology: common, memory: markov, {fields}}}\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario 1: fields 'eta', 'kbt', 't_max', 'n_points': ")
+    assert "not strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reproduce(tmp_path, capsys):
     code = main(["reproduce", "fig2a", "--out-dir", str(tmp_path), "--points", "3"])
     assert code == 0
@@ -667,7 +707,8 @@ def test_cli_rejects_escaping_output(tmp_path, capsys, output):
 @pytest.mark.parametrize("field", ["p", "eta", "lambda", "kbt", "t_max"])
 def test_cli_huge_integer_exits_two(tmp_path, capsys, field):
     cfg = tmp_path / "huge.yaml"
-    cfg.write_text(f"scenarios:\n  - {{state: werner-w, p: 0.5, topology: common, memory: markov, "
+    p = "" if field == "p" else "p: 0.5, "  # a key given twice is its own error
+    cfg.write_text(f"scenarios:\n  - {{state: werner-w, {p}topology: common, memory: markov, "
                    f"n_points: 3, {field}: {HUGE_INT}}}\n")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"scenario 1: field '{field}'" in capsys.readouterr().err
@@ -697,8 +738,9 @@ def test_cli_non_utf8_config_exits_two(tmp_path, capsys):
 
 
 def test_cli_failing_scenario_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "zero.yaml"
-    cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: markov, eta: 0, n_points: 3}\n")
+    # parses, but the bath overflows to t = 1e308
+    cfg = tmp_path / "overflow.yaml"
+    cfg.write_text("scenarios:\n  - {state: ghz, topology: common, memory: markov, t_max: 1.0e+307, n_points: 3}\n")
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
     assert "FAILED" in capsys.readouterr().err
 
