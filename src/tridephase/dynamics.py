@@ -95,7 +95,7 @@ def _propagate(bath: BathSpec, rho0, times: np.ndarray, engine: str) -> np.ndarr
     """rho0 (complex 8x8) times exp(the free phase + the named engine's integrals @ weights) on a checked time grid,
     after checking the engine but neither rho0 nor the output; numpy's warnings give way to the one overflow check,
     which blames the free phase where the bath's exponents are finite."""
-    if engine not in _ENGINES:
+    if not isinstance(engine, str) or engine not in ENGINES:  # so an unhashable engine is named too
         raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {engine!r}")
     integrals, weights = _ENGINES[engine]
     table = weights[bath.topology]
@@ -119,14 +119,10 @@ def propagate_grid(bath: BathSpec, rho0, times, engine: str = "closed_form") -> 
     ValueError; the output's names the first such t.
     """
     times = check_time(times, grid=True)
-    try:
-        rho0 = np.asarray(rho0, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"rho0: expected an 8x8 matrix of numbers ({exc})") from exc
-    if rho0.shape != (8, 8):
-        raise ValueError(f"rho0: expected an 8x8 matrix, got shape {rho0.shape}")
-    check_states(rho0[None], (1e-12, 1e-12, 1e-10), "rho0", times)
-    out = _propagate(bath, rho0, times, engine)
+    stack = check_states(rho0, (1e-12, 1e-12, 1e-10), "rho0")  # one matrix at t = 0: no times to name
+    if np.ndim(rho0) != 2:
+        raise ValueError(f"rho0: expected an 8x8 matrix, got shape {np.shape(rho0)}")
+    out = _propagate(bath, stack[0], times, engine)
     check_states(out, STATE_BOUNDS, "propagated state", times)
     return out
 
@@ -137,7 +133,7 @@ def coherence_trace(bath: BathSpec, state: StateSpec, times, engine: str = "clos
     their checks, as at large phases, where rounding can leave no state; these name the bath."""
     times = check_time(times, grid=True)
     rhos = _propagate(bath, make_state(state), times, engine)  # its ValueErrors name the bath
-    try:  # C_R's check is the output check, and the check of the catalog's rho0 (sample 0)
+    try:  # C_R's check is the output check, and the check of the catalog's rho0 (matrix 0)
         return rel_entropy_coherence(rhos)
     except ValueError as exc:
         raise ValueError(_OVERFLOW.format(what=exc, t=times[-1], b=bath)) from exc

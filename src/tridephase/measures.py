@@ -25,22 +25,15 @@ def rel_entropy_coherence(rho):
     """Relative entropy of coherence, S(dephased rho) - S(rho), of one 8x8
     density matrix (a float) or of each matrix of an (n, 8, 8) stack (an array).
 
-    The stack is checked once against STATE_BOUNDS, and a ValueError names its first bad
-    sample; a C_R below the roundoff floor is a ValueError too.  The dephased spectrum is
-    rho's real diagonal, and no population of a state lies below its smallest eigenvalue.
+    check_states reads rho and checks it once against STATE_BOUNDS, and a ValueError names rho
+    or its first bad matrix; a C_R below the roundoff floor is a ValueError too.  The dephased
+    spectrum is rho's real diagonal, and no population of a state lies below its smallest eigenvalue.
     S(rho) takes one eigh per matrix, whose eigenvalues the reference CSVs hold.
     """
-    try:
-        rhos = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"rho: expected an 8x8 matrix or an (n, 8, 8) stack of numbers ({exc})") from exc
-    if rhos.ndim not in (2, 3) or rhos.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix or an (n, 8, 8) stack, got shape {rhos.shape}")
-    stack = rhos.reshape(-1, 8, 8)
-    check_states(stack, STATE_BOUNDS, "sample")
+    stack = check_states(rho, STATE_BOUNDS, "rho")
     values = np.array([_entropy(np.sort(h.diagonal().real)[::-1])
                        - _entropy(np.linalg.eigh((h + h.conj().T) / 2.0)[0][::-1]) for h in stack])
     if np.any(values < _ROUNDOFF_FLOOR):
         raise ValueError(f"coherence {values.min():.3e} is negative beyond roundoff; inputs are inconsistent")
     values = np.where(values < 0.0, 0.0, values)
-    return float(values[0]) if rhos.ndim == 2 else values
+    return float(values[0]) if np.ndim(rho) == 2 else values

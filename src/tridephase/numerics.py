@@ -56,18 +56,19 @@ def check_number(field: str, value, strict: bool = False) -> float:
 def check_time(t, grid: bool = False):
     """Validate a time, or an array of times, and return it as float(s).
 
-    Every time must be a real number, finite and >= 0.  With ``grid`` the
-    times must also form a nonempty 1-d sequence that starts at 0 and
-    strictly increases.
+    Every time must be a real number, not a bool, a string or bytes,
+    finite and >= 0.  With ``grid`` the times must also form a nonempty
+    1-d sequence that starts at 0 and strictly increases.
     A 0-d input comes back as a float, anything else as a float ndarray.
 
     Raises:
         ValueError: naming the offending value.
     """
     try:
-        if np.iscomplexobj(t):  # numpy would drop the imaginary parts, with a warning
-            raise TypeError("complex times")
-        times = np.asarray(t, dtype=float)
+        times = np.asarray(t)
+        if times.dtype.kind in "bcSU":  # bool, complex, bytes, str: numpy would read each as a real number
+            raise TypeError(f"{times.dtype} times")
+        times = np.asarray(times, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"time must be a real number or an array of real numbers, got {reprlib.repr(t)}") from exc
     if grid and (times.ndim != 1 or len(times) == 0):

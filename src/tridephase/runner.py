@@ -318,6 +318,6 @@ def figure_scenarios(figure_id: str) -> list[ScenarioConfig]:
     fig3, fig4 and fig5 the ghz-w, werner-ghz and werner-w mixtures at p in {0.1, 0.5, 0.9}
     through all four panels, p innermost (12 files each), all with the closed-form engine on
     DEFAULT_N_POINTS samples."""
-    if figure_id not in _BUNDLES:
+    if not isinstance(figure_id, str) or figure_id not in FIGURE_IDS:  # so an unhashable id is named too
         raise ValueError(f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     return [sc for entry in _BUNDLES[figure_id] for sc in _expand_scenario(entry, figure_id)]

@@ -22,7 +22,6 @@ __all__ = [
     "StateSpec",
     "make_state",
     "STATE_BOUNDS",
-    "residuals",
     "check_states",
 ]
 
@@ -86,16 +85,13 @@ def make_state(spec: StateSpec) -> np.ndarray:
     return spec.p * first + (1.0 - spec.p) * second
 
 
-def residuals(rhos) -> np.ndarray:
-    """How far each matrix of an (n, 8, 8) stack is from a density matrix.
+def _residuals(rhos: np.ndarray) -> np.ndarray:
+    """How far each matrix of a complex (n, 8, 8) stack is from a density matrix.
 
     Row i holds max|rho - rho^dag|, |tr rho - 1| and minus the smallest
     eigenvalue of (rho + rho^dag)/2; a matrix with a non-finite entry reads
-    inf in all three.  Raises only on a shape other than (n, 8, 8).
+    inf in all three.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1:] != (8, 8):
-        raise ValueError(f"expected an (n, 8, 8) stack, got shape {rhos.shape}")
     finite = np.isfinite(rhos).all(axis=(1, 2))
     if not finite.all():  # a copy only when needed; eigvalsh takes no inf or nan
         rhos = np.where(finite[:, None, None], rhos, 0.0)
@@ -108,13 +104,22 @@ def residuals(rhos) -> np.ndarray:
     return out
 
 
-def check_states(rhos, bounds, what: str, times=None) -> None:
-    """Raise ValueError for the first matrix of an (n, 8, 8) stack whose residuals
-    exceed ``bounds``, named "<what> at t=<time>" with ``times``, else "<what> <index>"."""
-    res = residuals(rhos)
+def check_states(rhos, bounds, what: str, times=None) -> np.ndarray:
+    """Read an 8x8 matrix or an (n, 8, 8) stack of numbers and return it as a complex (n, 8, 8) stack.
+    Raise ValueError naming ``what`` for anything else, and for the first matrix whose residuals
+    exceed ``bounds``: "<what> at t=<time>" with ``times``, else "<what> <index>"."""
+    try:
+        stack = np.asarray(rhos, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: expected an 8x8 matrix or an (n, 8, 8) stack of numbers ({exc})") from exc
+    if stack.ndim not in (2, 3) or stack.shape[-2:] != (8, 8):
+        raise ValueError(f"{what}: expected an 8x8 matrix or an (n, 8, 8) stack, got shape {stack.shape}")
+    stack = stack.reshape(-1, 8, 8)
+    res = _residuals(stack)
     bad = np.flatnonzero(~np.all(res <= bounds, axis=1))
     if len(bad):
         herm, trace, negative = res[bad[0]]
         name = f"{what} at t={float(times[bad[0]]):g}" if times is not None else f"{what} {bad[0]}"
         raise ValueError(f"{name} violates density-matrix invariants: hermiticity "
                          f"{herm:.3e}, trace residual {trace:.3e}, min eigenvalue {-negative:.3e}")
+    return stack

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from tridephase.bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
-from tridephase import dynamics
+from tridephase import dynamics, states
 from tridephase.dynamics import coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
-from tridephase.states import StateSpec, make_state, residuals
+from tridephase.states import StateSpec, make_state
 
 G0 = markov_rate(BathSpec())  # 0.1 at default bath parameters
 
@@ -203,7 +203,7 @@ def test_criterion_12_structural_invariants(engine_sweep):
     worst_herm = worst_trace = worst_eig = worst_diag = 0.0
     for (_, topology, memory), (rho0, closed, ode) in sweep.items():
         for rhos in (closed, ode):
-            herm, trace, negative = residuals(rhos).max(axis=0)
+            herm, trace, negative = states._residuals(rhos).max(axis=0)
             worst_herm = max(worst_herm, herm)
             worst_trace = max(worst_trace, trace)
             worst_eig = min(worst_eig, -negative)

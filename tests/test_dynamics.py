@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -570,8 +571,34 @@ def test_propagate_rejects_invalid_state():
 
 @pytest.mark.parametrize("rho0", ["x", {}, [["1", "x"]]], ids=["string", "dict", "strings"])
 def test_propagate_names_rho0_that_is_not_numbers(rho0):
-    with pytest.raises(ValueError, match="^rho0: expected an 8x8 matrix of numbers"):
+    with pytest.raises(ValueError, match=r"^rho0: expected an 8x8 matrix or an \(n, 8, 8\) stack of numbers"):
         propagate_grid(COMMON_M, rho0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("count, spoiled", [(1, None), (3, None), (3, 1), (3, 2)],
+                         ids=["one", "three", "three-second-bad", "three-third-bad"])
+def test_propagate_takes_one_rho0_not_a_stack(count, spoiled):
+    # rho0 is one matrix at t = 0, so no index of a stack may read the grid's times
+    stack = np.stack([make_state(StateSpec("ghz"))] * count)
+    if spoiled is not None:
+        stack[spoiled] *= 2.0
+    told = rf"^rho0 {spoiled} violates" if spoiled else rf"^rho0: expected an 8x8 matrix, got shape \({count}, 8, 8\)$"
+    with pytest.raises(ValueError, match=told):
+        propagate_grid(COMMON_M, stack, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("engine", [["ode"], np.array(["ode"])], ids=["list", "array"])
+def test_propagate_grid_names_an_unhashable_engine(engine):
+    told = "^field 'engine': must be one of closed_form, ode; got " + re.escape(repr(engine)) + "$"
+    with pytest.raises(ValueError, match=told):
+        propagate_grid(COMMON_M, make_state(StateSpec("ghz")), [0.0, 1.0], engine)
+
+
+@pytest.mark.parametrize("engine", [{}, np.array(["ode"])], ids=["dict", "array"])
+def test_trace_names_an_unhashable_engine(engine):
+    told = "^field 'engine': must be one of closed_form, ode; got " + re.escape(repr(engine)) + "$"
+    with pytest.raises(ValueError, match=told):
+        coherence_trace(COMMON_M, StateSpec("ghz"), [0.0, 1.0], engine)
 
 
 def test_propagate_rejects_negative_time():
@@ -580,7 +607,7 @@ def test_propagate_rejects_negative_time():
 
 
 @pytest.mark.parametrize("grid", [[], [0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], "abc", 1j, [0.0, 1j],
-                                  np.array([0.0, 1j]), [[0.0], [1.0, 2.0]]])
+                                  np.array([0.0, 1j]), [[0.0], [1.0, 2.0]], ["0", "1"], np.array([False, True])])
 def test_propagate_grid_validation(grid):
     with pytest.raises(ValueError, match="^time"):
         propagate_grid(COMMON_M, make_state(StateSpec("ghz")), grid)

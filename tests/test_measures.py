@@ -175,12 +175,21 @@ def test_coherence_rejects_non_hermitian():
 
 
 def test_coherence_and_propagate_grid_name_a_wrong_shape():
-    # the message names the shape the caller passed
+    # check_states names the input and the shape the caller passed
+    expected = r"expected an 8x8 matrix or an \(n, 8, 8\) stack, got shape "
     for shape, told in [((2, 8, 4), r"\(2, 8, 4\)"), ((3, 4), r"\(3, 4\)"), ((8,), r"\(8,\)")]:
-        with pytest.raises(ValueError, match=r"^expected an 8x8 matrix or an \(n, 8, 8\) stack, got shape " + told):
+        with pytest.raises(ValueError, match="^rho: " + expected + told):
             rel_entropy_coherence(np.zeros(shape))
-    with pytest.raises(ValueError, match=r"^rho0: expected an 8x8 matrix, got shape \(3, 4\)$"):
+    with pytest.raises(ValueError, match="^rho0: " + expected + r"\(3, 4\)$"):
         propagate_grid(BathSpec(), np.zeros((3, 4)), [0.0, 1.0])
+
+
+def test_coherence_is_a_float_of_one_matrix_and_an_array_of_a_stack():
+    ghz = make_state(StateSpec("ghz"))
+    assert type(rel_entropy_coherence(ghz)) is float and type(rel_entropy_coherence(ghz.tolist())) is float
+    for stack in (ghz[None], np.stack([ghz] * 3)):
+        values = rel_entropy_coherence(stack)
+        assert isinstance(values, np.ndarray) and values.shape == (len(stack),)
 
 
 def _not_states():
@@ -218,5 +227,5 @@ def test_coherence_names_the_first_bad_sample_of_a_stack():
     stack = np.stack([make_state(StateSpec(name)) for name in STATE_NAMES])
     stack[3] *= 2.0
     stack[5, 0, 1] += 1e-3
-    with pytest.raises(ValueError, match="sample 3 violates density-matrix invariants: .* trace residual 1.000e"):
+    with pytest.raises(ValueError, match="^rho 3 violates density-matrix invariants: .* trace residual 1.000e"):
         rel_entropy_coherence(stack)

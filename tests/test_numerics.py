@@ -105,6 +105,11 @@ def test_check_time_returns_float_or_array():
     ([0.0, 1j], True, "got [0.0, 1j]"),
     (np.array([0.0, 1j]), True, "got array([0.+0.j, 0.+1.j])"),
     ([[0.0], [1.0, 2.0]], False, "got [[0.0], [1.0, 2.0]]"),
+    ("1", False, "real number or an array of real numbers, got '1'"),
+    (b"1", False, "got b'1'"),
+    (True, False, "got True"),
+    (["0", "1"], True, "got ['0', '1']"),
+    (np.array([False, True]), True, "got array([False,  True])"),
 ])
 def test_check_time_names_the_offending_value(times, grid, named):
     with pytest.raises(ValueError) as info:

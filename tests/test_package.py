@@ -43,6 +43,23 @@ def test_each_spectral_job_has_one_call_site():
     assert callers == {"eigh": ["measures"], "eigvalsh": ["states"]}
 
 
+def test_one_reader_for_density_matrices():
+    # states.check_states alone reads a caller's matrices as complex, shapes and checks them, and returns
+    # the stack; C_R and propagate_grid take that stack, with no reader or try of their own
+    def reads(call):
+        return (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "asarray"
+                and any(k.arg == "dtype" and getattr(k.value, "id", None) == "complex" for k in call.keywords))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    functions = {f"{stem}.{node.name}": node for stem, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    readers = [name for name, node in functions.items() if any(map(reads, ast.walk(node)))]
+    assert readers == ["states.check_states"]
+    assert sum(reads(node) for tree in trees.values() for node in ast.walk(tree)) == 1
+    for name in ("dynamics.propagate_grid", "measures.rel_entropy_coherence"):
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(functions[name])), name
+    assert "residuals" not in tridephase.states.__all__
+
+
 def test_free_phase_is_formed_once():
     # both engines return the bath's exponent table, and dynamics._propagate adds the free phase,
     # the one place that reads OMEGA0

@@ -241,14 +241,26 @@ scenarios:
     assert (first.bath.eta, second.bath.eta, second.output) == (0.1, 0.5, "b.csv")
 
 
-def readme_config():
+def readme_block(language):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    (block,) = re.findall(rf"```{language}\n(.*?)```", readme, re.S)
     return block
+
+
+def readme_config():
+    return readme_block("yaml")
 
 
 def test_readme_config_parses():
     assert len(parse_config(readme_config())) == 14
+
+
+def test_readme_library_example_runs():
+    # in a child process with every warning an error, as CI runs it against the installed package
+    src = str(Path(runner.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", "-c", readme_block("python")], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def benchmark_configs():
@@ -547,6 +559,12 @@ def test_figure_catalog_rejects_unknown_id():
     with pytest.raises(ValueError):
         figure_scenarios("fig9")
     assert "fig3" in FIGURE_IDS
+
+
+@pytest.mark.parametrize("figure_id", [["fig2a"], np.array(["fig2a"])], ids=["list", "array"])
+def test_figure_catalog_names_an_unhashable_id(figure_id):
+    with pytest.raises(ValueError, match=f"^unknown figure id {re.escape(repr(figure_id))}; valid ids: fig2a, "):
+        figure_scenarios(figure_id)
 
 
 def test_figure_bundles_keep_their_order():

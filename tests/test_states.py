@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from tridephase.states import (MIXED_STATE_NAMES, PURE_STATE_NAMES,
-                               STATE_NAMES, StateSpec, make_state, residuals)
+from tridephase import states
+from tridephase.states import (MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_BOUNDS,
+                               STATE_NAMES, StateSpec, check_states, make_state)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -135,7 +138,7 @@ INPUT_BOUNDS = (1e-12, 1e-12, 1e-10)
 
 
 def valid(rho) -> bool:
-    return bool(np.all(residuals(rho[None])[0] <= INPUT_BOUNDS))
+    return bool(np.all(states._residuals(rho[None])[0] <= INPUT_BOUNDS))
 
 
 @pytest.mark.parametrize("name", STATE_NAMES)
@@ -144,7 +147,7 @@ def test_catalog_states_validate(name):
     for tenths in range(11):
         rho = make_state(StateSpec(name, p=tenths / 10))
         assert valid(rho), tenths
-        herm, trace, negative = residuals(rho[None])[0]
+        herm, trace, negative = states._residuals(rho[None])[0]
         assert herm < 1e-14
         assert trace < 1e-13
         assert negative < 1e-14
@@ -153,28 +156,31 @@ def test_catalog_states_validate(name):
 def test_validate_flags_broken_trace():
     rho = make_state(StateSpec("ghz")) * 1.01
     assert not valid(rho)
-    assert residuals(rho[None])[0, 1] > 1e-3
+    assert states._residuals(rho[None])[0, 1] > 1e-3
 
 
 def test_validate_flags_non_hermitian():
     rho = make_state(StateSpec("ghz")).astype(complex)
     rho[0, 1] += 1e-3
     assert not valid(rho)
-    assert residuals(rho[None])[0, 0] > 1e-4
+    assert states._residuals(rho[None])[0, 0] > 1e-4
 
 
 def test_validate_flags_negative_eigenvalue():
     rho = np.diag([1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
     assert not valid(rho)
-    assert residuals(rho[None])[0, 2] > 0.09
+    assert states._residuals(rho[None])[0, 2] > 0.09
 
 
 def test_validate_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        residuals((np.eye(4) / 4.0)[None])
-    # a lone 8x8 matrix is not a stack
-    with pytest.raises(ValueError):
-        residuals(make_state(StateSpec("ghz")))
+    # check_states reads an 8x8 matrix or an (n, 8, 8) stack, and names what it reads and any other shape
+    for shape in [(1, 4, 4), (8,), (2, 2, 8, 8)]:
+        with pytest.raises(ValueError, match=r"^rho: expected .* stack, got shape " + re.escape(str(shape)) + "$"):
+            check_states(np.zeros(shape), STATE_BOUNDS, "rho")
+    # and returns the stack, a lone matrix as a stack of one; a complex input is viewed, not copied
+    ghz = make_state(StateSpec("ghz"))
+    stack = check_states(ghz, STATE_BOUNDS, "rho")
+    assert stack.shape == (1, 8, 8) and np.shares_memory(stack, ghz) and np.array_equal(stack[0], ghz)
 
 
 def test_residuals_measure_each_matrix_of_a_stack():
@@ -185,10 +191,10 @@ def test_residuals_measure_each_matrix_of_a_stack():
     stack[2, 0, 7] += 1e-3
     stack[3, 0, 0] = np.nan
     stack[4, 1, 1] = np.inf
-    res = residuals(stack)
+    res = states._residuals(stack)
     assert res.shape == (len(STATE_NAMES), 3)
     for rho, row in zip(stack, res):
-        assert np.array_equal(residuals(rho[None])[0], row)
+        assert np.array_equal(states._residuals(rho[None])[0], row)
     assert np.all(res[3:5] == np.inf)
     assert np.all(np.isfinite(res[[0, 1, 2, 5, 6, 7]]))
 
