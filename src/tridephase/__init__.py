@@ -7,8 +7,7 @@ spectral density with exponential cutoff.  Coherence is tracked through
 the relative entropy of coherence in the computational basis.
 
 Layered bottom-up, each module importing only modules below it: ``numerics``
-(log-gamma and digamma series, fixed-step integrator, number and time
-validation), ``bath`` (closed-form decoherence kernels), ``states`` (the
+(log-gamma and digamma series, number and time validation), ``bath`` (closed-form decoherence kernels), ``states`` (the
 state catalog and the one density-matrix check), ``measures`` (the
 relative entropy of coherence), ``dynamics`` (two independent propagation
 engines and the coherence trace), ``runner`` (scenario configs and CSV

@@ -83,9 +83,9 @@ class BathSpec:
         object.__setattr__(self, "lambda_cutoff",
                            check_number("'lambda' (lambda_cutoff)", self.lambda_cutoff, strict=True))
         object.__setattr__(self, "kbt", check_number("'kbt'", self.kbt, strict=True))
-        if self.topology not in TOPOLOGIES:
+        if not isinstance(self.topology, str) or self.topology not in TOPOLOGIES:
             raise ValueError(f"field 'topology': must be one of {', '.join(TOPOLOGIES)}; got {self.topology!r}")
-        if self.memory not in MEMORIES:
+        if not isinstance(self.memory, str) or self.memory not in MEMORIES:
             raise ValueError(f"field 'memory': must be one of {', '.join(MEMORIES)}; got {self.memory!r}")
 
 

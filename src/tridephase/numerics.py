@@ -2,11 +2,8 @@
 
 Closed-form special functions for complex arguments (the real part of a
 log-gamma ratio and the imaginary part of the digamma function) with the
-overflow-free log1p(x^2) and Lorentzian that they share with the bath, the
-running Simpson-rule integral of a table of time-dependent coefficients,
-which is the fourth-order Magnus exponent of decoupled linear equations
-whose rates are those coefficients times a weight matrix, and the
-validators for config numbers, times and time grids.
+overflow-free log1p(x^2) and Lorentzian that they share with the bath, and
+the validators for config numbers, times and time grids.
 Nothing here knows about baths or qubits.
 """
 
@@ -14,7 +11,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +21,6 @@ __all__ = [
     "lorentzian",
     "loggamma_re_diff",
     "digamma_im",
-    "ode_propagate",
 ]
 
 # Stirling series: Bernoulli numbers B_2k for k = 1..7, the exponents 2k and
@@ -56,7 +51,7 @@ def check_number(field: str, value, strict: bool = False) -> float:
 def check_time(t, grid: bool = False):
     """Validate a time, or an array of times, and return it as float(s).
 
-    Every time must be a real number, not a bool, a string or bytes,
+    Every time must be an int or a float, Python's or numpy's (not a bool),
     finite and >= 0.  With ``grid`` the times must also form a nonempty
     1-d sequence that starts at 0 and strictly increases.
     A 0-d input comes back as a float, anything else as a float ndarray.
@@ -66,7 +61,9 @@ def check_time(t, grid: bool = False):
     """
     try:
         times = np.asarray(t)
-        if times.dtype.kind in "bcSU":  # bool, complex, bytes, str: numpy would read each as a real number
+        # ints and floats only; numpy promotes a bool among numbers, so a sequence's elements (not an array's) are read
+        if times.dtype.kind not in "iuf" or (times is not t and any(
+                isinstance(x, (bool, np.bool_)) for x in np.asarray(t, dtype=object).flat)):
             raise TypeError(f"{times.dtype} times")
         times = np.asarray(times, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -151,27 +148,3 @@ def digamma_im(c: float, y):
     shifted = lorentzian(y[..., None], shifts)
     return theta + lorentzian(y, w) / 2.0 + series.sum(axis=-1) + shifted.sum(axis=-1)
 
-
-def ode_propagate(coefficients: Callable, grid: np.ndarray, substeps: np.ndarray) -> np.ndarray:
-    """The integrals int_0^t c(s) ds of the P coefficient rows c at every point t of a grid
-    from 0, strictly increasing (0 at t = 0), shape (len(grid), P).
-
-    With weights of shape (P, K), exp(integrals @ weights) solves the K decoupled equations
-    dy/dt = (c(t) @ weights) * y from y = 1: each equation is scalar, so its rates commute
-    and the Magnus series stops at its first term (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009)).  The fourth-order Magnus step takes that integral by Simpson's rule,
-    h/6 (c0 + 4 cm + c1) per substep, exact for coefficients cubic in t.  Interval i takes
-    ``substeps[i]`` uniform substeps.  Their stage times t, t + h/2, t + h, shape (substeps, 3),
-    go through ``coefficients`` in one call, which returns the rows c, shape (substeps, 3, P);
-    the substeps' integrals are summed across intervals and read off at every grid point.
-
-    The caller checks both inputs: the grid as check_time(grid=True) does, the counts as integers
-    >= 1 within its work budget.  Non-finite rows give non-finite integrals, left to the caller.
-    """
-    stop = np.cumsum(substeps)
-    h = np.repeat(np.diff(grid) / substeps, substeps)
-    # t = t0 + j h with j = 0 .. substeps - 1 within each interval
-    t = np.repeat(grid[:-1], substeps) + (np.arange(len(h)) - np.repeat(stop - substeps, substeps)) * h
-    c0, cm, c1 = coefficients(np.stack([t, t + h / 2.0, t + h], axis=-1)).swapaxes(0, 1)
-    running = np.cumsum((h / 6.0)[:, None] * (c0 + 4.0 * cm + c1), axis=0)
-    return np.concatenate([np.zeros((1, running.shape[1])), running[stop - 1]])

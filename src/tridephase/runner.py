@@ -102,6 +102,9 @@ class ScenarioConfig:
     output: str
 
     def __post_init__(self):
+        for field, kind in (("state", StateSpec), ("bath", BathSpec)):  # first, as the grid check reads the bath
+            if not isinstance(getattr(self, field), kind):
+                raise ValueError(f"field '{field}': expected a {kind.__name__}, got {getattr(self, field)!r}")
         object.__setattr__(self, "t_max", check_number("'t_max'", self.t_max, strict=True))
         if (isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer))
                 or not 2 <= self.n_points <= MAX_N_POINTS):
@@ -113,9 +116,9 @@ class ScenarioConfig:
             raise ValueError(f"fields 'eta', 'kbt', 't_max', 'n_points': {self.n_points} points to gamma0*t = "
                              f"{self.t_max!r} at gamma0 = 4 pi eta kbt = {g0!r} give times that overflow or are "
                              "not strictly increasing")
-        if self.engine == "closed-form":  # its second spelling; == lets a YAML list or mapping reach the check
+        if isinstance(self.engine, str) and self.engine == "closed-form":  # its second spelling
             object.__setattr__(self, "engine", "closed_form")
-        if self.engine not in ENGINES:
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:  # so a list or an array is named too
             raise ValueError(f"field 'engine': must be one of {', '.join(ENGINES)}; got {self.engine!r}")
         # a plain file name, so that every CSV lands inside the output directory
         if (not isinstance(self.output, str) or self.output in ("", ".", "..")

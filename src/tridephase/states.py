@@ -66,7 +66,7 @@ class StateSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.name not in STATE_NAMES:
+        if not isinstance(self.name, str) or self.name not in STATE_NAMES:
             raise ValueError(f"field 'state': unknown state {self.name!r}; valid names: {', '.join(STATE_NAMES)}")
         object.__setattr__(self, "p", check_number("'p'", self.p))
         if self.p > 1.0:

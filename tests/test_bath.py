@@ -356,6 +356,18 @@ def test_bath_spec_validation(kwargs):
         BathSpec(**kwargs)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("topology", np.array(["local"])),
+    ("topology", np.array(["local", "common"])),
+    ("memory", np.array(["markov"])),
+    ("memory", np.array(["markov", "non_markov"])),
+])
+def test_bath_spec_names_a_choice_that_is_not_a_string(field, value):
+    # an array was stored, to fail as unhashable later, or was numpy's ambiguous truth value
+    with pytest.raises(ValueError, match=f"^field '{field}': must be one of .*; got array"):
+        BathSpec(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["eta", "lambda_cutoff", "kbt"])
 def test_bath_spec_rejects_booleans(field):
     for value in (True, np.bool_(True)):

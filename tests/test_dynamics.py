@@ -12,7 +12,6 @@ from tridephase.bath import (DEFAULT_LAMBDA_CUTOFF, MEMORIES, TOPOLOGIES, BathSp
                              markov_rate)
 from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
-from tridephase.numerics import ode_propagate
 from tridephase.states import StateSpec, make_state
 
 COMMON_M = BathSpec(topology="common", memory="markov")
@@ -472,21 +471,19 @@ def test_default_ode_panels_keep_their_step_rule(monkeypatch, topology, memory, 
     # the stage-time table has one row per Magnus substep: one per grid interval,
     # as a Markov rate is constant and the memory step 0.05 / lambda = 5 exceeds
     # the spacing 0.01 of the 200 intervals to t = 2
-    taken, counts = [], []
+    taken = []
 
-    def counting(coefficients, grid, per_interval):
-        def table(stages):
-            taken.append(len(stages))
-            return coefficients(stages)
-        counts.append(per_interval)
-        return ode_propagate(table, grid, per_interval)
+    def counting(bspec, stages):
+        taken.append(stages)
+        return kernel_rates(bspec, stages)
 
-    monkeypatch.setattr(dynamics, "ode_propagate", counting)
+    monkeypatch.setattr(dynamics, "kernel_rates", counting)
     bath = BathSpec(topology=topology, memory=memory)
     times = np.linspace(0.0, 3.0 if memory == "markov" else 0.2, 201) / markov_rate(bath)
     coherence_trace(bath, StateSpec("ghz"), times, "ode")
-    assert taken == [substeps]
-    assert len(counts) == 1 and np.array_equal(counts[0], np.ones(200))
+    assert [len(stages) for stages in taken] == [substeps]
+    # one substep per interval: the rows start at the 200 interval starts, in order
+    assert np.array_equal(taken[0][:, 0], times[:-1])
 
 
 # ------------------------------------------------------------------- traces

@@ -88,3 +88,14 @@ def test_both_engines_share_one_exp():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"]
     assert callers == ["dynamics"]
+
+
+def test_the_ode_engine_is_one_function():
+    # dynamics._ode_integrals sets the Magnus step, builds the stage times, calls kernel_rates once and sums
+    # Simpson's rule itself: no other function of src/ reads that kernel, and no separate integrator is left
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    readers = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(name, ast.Name) and name.id == "kernel_rates" for name in ast.walk(node))]
+    assert readers == ["dynamics._ode_integrals"]
+    assert not any("ode_propagate" in ast.dump(tree) for tree in trees.values())

@@ -358,6 +358,23 @@ def test_scenario_config_rejects_non_integer_points(n_points):
         replace(scenario, n_points=n_points)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("state", "ghz", "field 'state': expected a StateSpec, got 'ghz'"),
+    ("state", BathSpec(), "field 'state': expected a StateSpec, got BathSpec("),
+    ("bath", "x", "field 'bath': expected a BathSpec, got 'x'"),
+    ("bath", StateSpec("ghz"), "field 'bath': expected a BathSpec, got StateSpec("),
+    ("engine", np.array(["ode"]), "field 'engine': must be one of closed_form, ode; got array(['ode']"),
+    ("engine", np.array(["ode", "x"]), "field 'engine': must be one of closed_form, ode; got array(['ode', 'x']"),
+    ("engine", np.array(["closed-form"]), "field 'engine': must be one of closed_form, ode; got array(["),
+], ids=["state-name", "state-bath", "bath-name", "bath-state", "engine-one", "engine-two", "engine-alias"])
+def test_scenario_config_reads_each_field_by_type_first(field, value, named):
+    # each was stored, to fail at run time, or escaped as an AttributeError or numpy's ambiguous truth value
+    (scenario,) = parse_config(MINIMAL)
+    with pytest.raises(ValueError) as info:
+        replace(scenario, **{field: value})
+    assert str(info.value).startswith(named)
+
+
 def test_scenario_config_takes_numpy_scalars():
     # replace is how a bundle's grid changes, and a numpy grid size must pass as a Python number
     (scenario,) = parse_config(MINIMAL)

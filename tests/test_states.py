@@ -206,6 +206,13 @@ def test_state_spec_rejects_unknown_name():
         StateSpec("ghzz")
 
 
+@pytest.mark.parametrize("name", [np.array(["ghz"]), np.array(["ghz", "w"])], ids=["one", "two"])
+def test_state_spec_names_a_name_that_is_not_a_string(name):
+    # an array was stored, to fail as unhashable later, or was numpy's ambiguous truth value
+    with pytest.raises(ValueError, match="^field 'state': unknown state array"):
+        StateSpec(name)
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), True, "0.5", np.bool_(True), np.float32("nan"), np.int64(2)])
 def test_state_spec_rejects_bad_weight(p):
     with pytest.raises(ValueError, match="field 'p'"):
