@@ -14,12 +14,11 @@ engines and the coherence trace), ``runner`` (scenario configs and CSV
 output) and ``cli``.
 """
 
-from .bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec,
-                   kernel_integrals, kernel_rates, markov_rate)
-from .dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
+from .bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
+from .dynamics import coherence_trace, propagate_grid
 from .measures import rel_entropy_coherence
-from .runner import ConfigError, RunResult, ScenarioConfig, parse_config, run_scenarios, trace_csv_bytes
-from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, STATE_NAMES, StateSpec, make_state
+from .runner import ScenarioConfig, run_scenarios, trace_csv_bytes
+from .states import StateSpec, make_state
 
 __version__ = "0.1.0"
 
@@ -27,11 +26,8 @@ __all__ = [
     "__version__",
     "BathSpec", "markov_rate",
     "kernel_rates", "kernel_integrals",
-    "DEFAULT_ETA", "DEFAULT_LAMBDA_CUTOFF", "DEFAULT_KBT",
     "StateSpec", "make_state",
-    "STATE_NAMES", "PURE_STATE_NAMES", "MIXED_STATE_NAMES",
-    "propagate_grid", "coherence_trace", "ENGINES", "OMEGA0",
+    "propagate_grid", "coherence_trace",
     "rel_entropy_coherence",
-    "ScenarioConfig", "RunResult", "ConfigError", "parse_config",
-    "run_scenarios", "trace_csv_bytes",
+    "ScenarioConfig", "run_scenarios", "trace_csv_bytes",
 ]

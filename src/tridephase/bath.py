@@ -38,20 +38,11 @@ import numpy as np
 from .numerics import check_number, check_time, digamma_im, log1p_square, loggamma_re_diff, lorentzian
 
 __all__ = [
-    "DEFAULT_ETA",
-    "DEFAULT_LAMBDA_CUTOFF",
-    "DEFAULT_KBT",
-    "TOPOLOGIES",
-    "MEMORIES",
     "BathSpec",
     "markov_rate",
     "kernel_rates",
     "kernel_integrals",
 ]
-
-DEFAULT_ETA = 0.1
-DEFAULT_LAMBDA_CUTOFF = 0.01
-DEFAULT_KBT = 1.0 / (4.0 * math.pi)
 
 TOPOLOGIES = ("local", "common")
 MEMORIES = ("markov", "non_markov")
@@ -71,9 +62,9 @@ class BathSpec:
     flat-rate limit, "non_markov" the full time-dependent kernels.
     """
 
-    eta: float = DEFAULT_ETA
-    lambda_cutoff: float = DEFAULT_LAMBDA_CUTOFF
-    kbt: float = DEFAULT_KBT
+    eta: float = 0.1
+    lambda_cutoff: float = 0.01
+    kbt: float = 1.0 / (4.0 * math.pi)
     topology: str = "common"
     memory: str = "markov"
 

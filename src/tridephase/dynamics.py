@@ -31,7 +31,6 @@ from .numerics import check_time
 from .states import STATE_BOUNDS, StateSpec, check_states, make_state
 
 __all__ = [
-    "OMEGA0",
     "ENGINES",
     "propagate_grid",
     "coherence_trace",

@@ -61,12 +61,14 @@ def check_time(t, grid: bool = False):
     """
     try:
         times = np.asarray(t)
+        if times.dtype == object and all(type(x) is int for x in times.flat):  # ints past numpy's integer range
+            times = np.array(times.tolist(), dtype=float)  # float() of each, OverflowError past the float range
         # ints and floats only; numpy promotes a bool among numbers, so a sequence's elements (not an array's) are read
         if times.dtype.kind not in "iuf" or (times is not t and any(
                 isinstance(x, (bool, np.bool_)) for x in np.asarray(t, dtype=object).flat)):
             raise TypeError(f"{times.dtype} times")
         times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"time must be a real number or an array of real numbers, got {reprlib.repr(t)}") from exc
     if grid and (times.ndim != 1 or len(times) == 0):
         raise ValueError(f"time grid must be a nonempty 1-d sequence, got shape {times.shape}")
@@ -123,12 +125,17 @@ def loggamma_re_diff(c: float, y):
     w = c + len(shifts)
     y = np.asarray(y, dtype=float)
     log_r = log1p_square(y, w)
-    theta = np.arctan(y / w)
+    u = y / w
+    theta = np.arctan(u)
     m_theta = _2K1 * theta[..., None]
     series = (_B2K / (_2K * _2K1) * w ** -_2K1) * (
         np.expm1(-0.5 * _2K1 * log_r[..., None]) * np.cos(m_theta) - 2.0 * np.sin(0.5 * m_theta) ** 2)
     shifted = log1p_square(y[..., None], shifts)
-    return (w - 0.5) * 0.5 * log_r - y * theta + series.sum(axis=-1) - 0.5 * shifted.sum(axis=-1)
+    # below u = 1.5e-154, u^2 (and log_r) underflows while y theta does not: there the two leading terms are
+    # -(y u) (w + 1/2) / (2 w) + O(w u^4), with u masked so that the other elements take no warning
+    small = u < 1.5e-154
+    lead = np.where(small, -(y * np.where(small, u, 0.0)) * (w + 0.5) / (2.0 * w), (w - 0.5) * 0.5 * log_r - y * theta)
+    return lead + series.sum(axis=-1) - 0.5 * shifted.sum(axis=-1)
 
 
 def digamma_im(c: float, y):

@@ -37,7 +37,7 @@ from yaml.constructor import ConstructorError, SafeConstructor
 from yaml.cyaml import CParser
 from yaml.resolver import Resolver
 
-from .bath import DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF, BathSpec, markov_rate
+from .bath import BathSpec, markov_rate
 from .dynamics import ENGINES, coherence_trace
 from .numerics import check_number
 from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, StateSpec
@@ -45,9 +45,7 @@ from .states import MIXED_STATE_NAMES, PURE_STATE_NAMES, StateSpec
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "RunResult",
     "FIGURE_IDS",
-    "DEFAULT_N_POINTS",
     "MAX_N_POINTS",
     "parse_config",
     "trace_csv_bytes",
@@ -67,6 +65,8 @@ DEFAULT_T_MAX = {"markov": 3.0, "non_markov": 0.2}
 
 _SCENARIO_FIELDS = ("state", "p", "topology", "memory", "eta", "lambda", "kbt",
                     "t_max", "n_points", "engine", "output")
+# the bath's config keys and their BathSpec fields; a key not given keeps BathSpec's default
+_BATH_FIELDS = {"eta": "eta", "lambda": "lambda_cutoff", "kbt": "kbt"}
 
 _PANELS = (("a", "common", "markov"),
            ("b", "local", "markov"),
@@ -172,13 +172,11 @@ def _expand_scenario(entry: dict, label: str) -> list[ScenarioConfig]:
         raise _context(label, "p", f"not used by pure state {name!r}; drop it")
     topologies, memories = _sweep(label, entry, "topology"), _sweep(label, entry, "memory")
 
-    # each spec checks its own fields, nulls too (get fills only a missing key); p varies slowest, memory fastest
+    # each spec checks its own fields, nulls too (a missing key keeps the default); p varies slowest, memory fastest
+    given = {field: entry[key] for key, field in _BATH_FIELDS.items() if key in entry}
     try:
         states = [StateSpec(name, p) for p in ps] or [StateSpec(name)]
-        baths = [BathSpec(eta=entry.get("eta", DEFAULT_ETA),
-                          lambda_cutoff=entry.get("lambda", DEFAULT_LAMBDA_CUTOFF),
-                          kbt=entry.get("kbt", DEFAULT_KBT), topology=topology, memory=memory)
-                 for topology in topologies for memory in memories]
+        baths = [BathSpec(**given, topology=topology, memory=memory) for topology in topologies for memory in memories]
         scenarios = [ScenarioConfig(state=state, bath=bath,
                                     t_max=entry.get("t_max", DEFAULT_T_MAX[bath.memory]),
                                     n_points=entry.get("n_points", DEFAULT_N_POINTS),

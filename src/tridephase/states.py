@@ -18,7 +18,6 @@ __all__ = [
     "CATALOG",
     "PURE_STATE_NAMES",
     "MIXED_STATE_NAMES",
-    "STATE_NAMES",
     "StateSpec",
     "make_state",
     "STATE_BOUNDS",

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tridephase.bath import (DEFAULT_ETA, DEFAULT_KBT, DEFAULT_LAMBDA_CUTOFF,
-                             BathSpec, kernel_integrals, kernel_rates, markov_rate)
+from tridephase.bath import BathSpec, kernel_integrals, kernel_rates, markov_rate
 
 MARKOV = BathSpec(memory="markov")
 NON_MARKOV = BathSpec(memory="non_markov")
@@ -79,7 +78,7 @@ def test_markov_rate_default_parameters():
 
 def test_markov_rate_linear_in_eta_and_temperature():
     assert abs(markov_rate(BathSpec(eta=0.3)) - 0.3) < 1e-15
-    assert abs(markov_rate(BathSpec(kbt=2.0 * DEFAULT_KBT)) - 0.2) < 1e-15
+    assert abs(markov_rate(BathSpec(kbt=2.0 * MARKOV.kbt)) - 0.2) < 1e-15
 
 
 def test_markov_cumulative_is_exactly_linear():
@@ -107,7 +106,7 @@ def test_rate_long_time_plateau():
     # as L t -> inf, arctan saturates at pi/2 and the rate plateaus at
     # 2 pi eta kbt, half the markov constant
     rate = gamma_of(NON_MARKOV, 3000.0)
-    plateau = 2.0 * math.pi * DEFAULT_ETA * DEFAULT_KBT
+    plateau = 2.0 * math.pi * NON_MARKOV.eta * NON_MARKOV.kbt
     assert abs(rate - plateau) / plateau < 3e-2
     assert rate < plateau
 
@@ -176,7 +175,7 @@ def test_lamb_shift_closed_form_values():
     # eta L (Lt)^2 / (1 + (Lt)^2) at Lt = 1 is eta L / 2
     assert abs(mu - 5e-4) < 1e-15
     mu_inf, _ = lamb_of(NON_MARKOV, 1e7)
-    assert abs(mu_inf - DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF) / 1e-3 < 1e-3
+    assert abs(mu_inf - NON_MARKOV.eta * NON_MARKOV.lambda_cutoff) / 1e-3 < 1e-3
     _, big_m2 = lamb_of(NON_MARKOV, 2.0)
     assert abs(big_m2 - 2.666026849465486e-7) / 2.666026849465486e-7 < 1e-12
 
@@ -190,8 +189,8 @@ def test_lamb_kernel_stays_finite_at_large_times():
     rates, integrals = checked_kernels(NON_MARKOV, times)
     mus, big_ms = rates[:, 1], integrals[:, 1]
     assert np.isfinite(big_ms).all() and np.all(np.diff(big_ms) > 0.0)
-    assert mus[3:] == pytest.approx(DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF, rel=1e-15)
-    assert big_ms[-1] == pytest.approx(DEFAULT_ETA * DEFAULT_LAMBDA_CUTOFF * 1e300, rel=1e-15)
+    assert mus[3:] == pytest.approx(NON_MARKOV.eta * NON_MARKOV.lambda_cutoff, rel=1e-15)
+    assert big_ms[-1] == pytest.approx(NON_MARKOV.eta * NON_MARKOV.lambda_cutoff * 1e300, rel=1e-15)
 
 
 @pytest.mark.parametrize("lam", [1e10, 1e300])
@@ -229,6 +228,29 @@ MEMORY_KBT_1E_300 = BathSpec(kbt=1e-300, memory="non_markov")
 ])
 def test_kernels_match_mpmath_where_they_overflowed(spec, times):
     checked_kernels(spec, times)
+
+
+def test_gamma_matches_mpmath_where_u_squared_underflows():
+    # with w = kbt / lambda far above 16 (no recurrence shift), u = kbt t / w below 1.5e-154 and Gamma / eta
+    # above 1e-280, u^2 underflows while y arctan(u) does not; Gamma was twice its value at the first bath
+    # (4.5875e-111 against 2.2938e-111).  Re ln Gamma(w + i y) - ln Gamma(w) is about y u / 2, far below
+    # ln Gamma(w) itself, so mpmath takes 700 digits
+    cases = [(BathSpec(eta=8.4e145, lambda_cutoff=4.3e-136, kbt=1.8e17, memory="non_markov"), 4.2e-70)]
+    rng = np.random.default_rng(18)
+    while len(cases) < 12:
+        log_w, log_kbt, log_eta = rng.uniform(35.0, 250.0), rng.uniform(-50.0, 50.0), rng.uniform(-5.0, 150.0)
+        log_y = rng.uniform((log_w - 280.0) / 2.0, log_w - 155.0)  # 2 y u = 2 y^2 / w > 1e-280, u < 1e-155
+        spec = BathSpec(eta=10.0 ** log_eta, lambda_cutoff=10.0 ** (log_kbt - log_w), kbt=10.0 ** log_kbt,
+                        memory="non_markov")
+        cases.append((spec, 10.0 ** (log_y - log_kbt)))
+    for spec, t in cases:
+        assert spec.kbt * t / (spec.kbt / spec.lambda_cutoff) < 1.5e-154
+        with mpmath.workdps(700):
+            eta, lam, kbt, tt = (mpmath.mpf(v) for v in (spec.eta, spec.lambda_cutoff, spec.kbt, t))
+            expected = -eta * (4 * mpmath.re(mpmath.loggamma(mpmath.mpc(kbt / lam, kbt * tt))
+                                             - mpmath.loggamma(kbt / lam)) + mpmath.log1p((lam * tt) ** 2))
+        value = big_gamma_of(spec, t)
+        assert abs(value - expected) <= 1e-15 * expected, (spec, t, value, float(expected))
 
 
 # powers of ten across the float range, from a subnormal up

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from tridephase import dynamics
-from tridephase.bath import (DEFAULT_LAMBDA_CUTOFF, MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, kernel_rates,
-                             markov_rate)
+from tridephase.bath import MEMORIES, TOPOLOGIES, BathSpec, kernel_integrals, kernel_rates, markov_rate
 from tridephase.dynamics import ENGINES, OMEGA0, coherence_trace, propagate_grid
 from tridephase.measures import rel_entropy_coherence
 from tridephase.states import StateSpec, make_state
@@ -209,7 +208,7 @@ def test_engines_agree_without_coupling(topology, memory):
     # eta = 0 leaves only the free phase; no decay rate bounds the ODE step, so even a
     # memory time 1/lambda of 1e-10 takes one substep per interval, out to t = 1e300
     rho0 = make_state(StateSpec("ghz"))
-    for lambda_cutoff, times in ((DEFAULT_LAMBDA_CUTOFF, [0.0, 5.0]), (1e10, [0.0, 5.0, 1e300])):
+    for lambda_cutoff, times in ((BathSpec().lambda_cutoff, [0.0, 5.0]), (1e10, [0.0, 5.0, 1e300])):
         bath = BathSpec(eta=0.0, lambda_cutoff=lambda_cutoff, topology=topology, memory=memory)
         ode = propagate_grid(bath, rho0, times, "ode")
         assert np.array_equal(ode, propagate_grid(bath, rho0, times))

@@ -92,6 +92,11 @@ def test_check_time_returns_float_or_array():
     assert check_time(2) == 2.0 and isinstance(check_time(2), float)
     assert np.array_equal(check_time([0.0, 1.0]), [0.0, 1.0])
     assert np.array_equal(check_time([0.0, 0.5, 2.0], grid=True), [0.0, 0.5, 2.0])
+    # a Python int past numpy's integer range, alone, in a list or in an object array, is read through float()
+    assert check_time(2 ** 64) == 2.0 ** 64 and isinstance(check_time(2 ** 64), float)
+    assert check_time(2 ** 63 - 1) == float(2 ** 63 - 1)
+    assert np.array_equal(check_time([0, 2 ** 70], grid=True), [0.0, 2.0 ** 70])
+    assert np.array_equal(check_time(np.array([[0, 3 ** 99]], dtype=object)), [[0.0, float(3 ** 99)]])
 
 
 @pytest.mark.parametrize("times, grid, named", [
@@ -115,6 +120,7 @@ def test_check_time_returns_float_or_array():
     # ints and floats only: an int past the float range, None, objects, durations and dates are no times,
     # nor is a bool that numpy promotes to a float among numbers
     ([0, 10 ** 400], False, "real number or an array of real numbers, got [0, 1000"),
+    (np.array([2 ** 70, True], dtype=object), False, "real number or an array of real numbers, got array([118059"),
     (None, False, "got None"),
     (np.array(["1", 2], dtype=object), False, "got array(['1', 2], dtype=object)"),
     (np.array([0, 1], dtype="timedelta64[s]"), True, "real number or an array of real numbers, got array([0, 1]"),

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,32 @@ def test_each_module_imports_only_modules_below_it(layer):
 
 def test_layer_order_covers_every_module():
     assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+README = SRC.parents[1] / "README.md"
+
+
+def test_package_exports_what_readme_library_uses():
+    # the names README's Library section calls as td.<name>, plus ScenarioConfig, the scenario type that
+    # run_scenarios and trace_csv_bytes take; every other name imports from its module
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    used = set(re.findall(r"\btd\.(\w+)", library))
+    assert set(tridephase.__all__) == used | {"ScenarioConfig", "__version__"}
+    assert len(tridephase.__all__) == 13
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_module_exports_what_is_imported_or_documented(layer):
+    # a name another module of src/ imports, a public <module>.<name> README writes, or the console script
+    imported = {alias.name for path in SRC.glob("*.py") if path.stem != layer
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level and node.module == layer
+                for alias in node.names}
+    documented = set(re.findall(rf"\b{layer}\.([A-Za-z]\w*)", README.read_text(encoding="utf-8")))
+    scripts = {name for module, name in re.findall(r'"tridephase\.(\w+):(\w+)"',
+                                                   (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+               if module == layer}
+    assert set(importlib.import_module(f"tridephase.{layer}").__all__) == imported | documented | scripts
 
 
 def test_each_spectral_job_has_one_call_site():

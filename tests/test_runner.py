@@ -37,6 +37,7 @@ def test_parse_minimal_document():
     assert sc.bath.topology == "common"
     assert sc.bath.memory == "markov"
     assert sc.bath.eta == 0.1
+    assert sc.bath == BathSpec(topology="common", memory="markov")  # lambda and kbt take BathSpec's defaults
     assert sc.t_max == 3.0
     assert sc.n_points == DEFAULT_N_POINTS
     assert sc.engine == "closed_form"
