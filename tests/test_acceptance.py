@@ -2,9 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see every line; without -s
 pytest still shows the lines of any failing criterion in its report.  Each
-criterion also records its measured value and bound as the properties
-"value" and "bound", which `--junitxml` writes into the report.  A criterion
-with several conditions records the one nearest its bound.
+criterion also records its measured value and bound as the test-suite
+properties "criterion_NN_value" and "criterion_NN_bound", which `--junitxml`
+writes into the report under any junit_family.  A criterion with several
+conditions records the one nearest its bound.
 """
 
 import math
@@ -36,11 +37,15 @@ SWEEP_STATES = (
 )
 
 
-def _verdict(record_property, num: int, ok: bool, text: str, value: float, bound: float) -> bool:
-    record_property("value", value)
-    record_property("bound", bound)
-    print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}  {text}")
-    return ok
+@pytest.fixture
+def verdict(record_testsuite_property):
+    """Print a criterion's verdict line, record its value and bound, and return ok."""
+    def _verdict(num: int, ok: bool, text: str, value: float, bound: float) -> bool:
+        record_testsuite_property(f"criterion_{num:02d}_value", value)
+        record_testsuite_property(f"criterion_{num:02d}_bound", bound)
+        print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}  {text}")
+        return ok
+    return _verdict
 
 
 def _bath(topology: str, memory: str) -> BathSpec:
@@ -61,7 +66,7 @@ def engine_sweep():
     return times, out
 
 
-def test_criterion_01_initial_coherences(record_property):
+def test_criterion_01_initial_coherences(verdict):
     table = (("ghz", math.log(2.0)), ("w", math.log(3.0)),
              ("wwbar", math.log(6.0)), ("star", math.log(4.0)))
     values = {name: rel_entropy_coherence(make_state(StateSpec(name)))
@@ -69,79 +74,79 @@ def test_criterion_01_initial_coherences(record_property):
     worst = max(abs(values[name] - expected) for name, expected in table)
     ordered = (values["wwbar"] > values["star"] > values["w"] > values["ghz"])
     ok = worst < 1e-6 and ordered
-    assert _verdict(record_property, 1, ok, f"initial coherences (nats), worst dev {worst:.2e}, "
-                                            f"ordering wwbar > star > w > ghz: {ordered}", worst, 1e-6)
+    assert verdict(1, ok, f"initial coherences (nats), worst dev {worst:.2e}, "
+                          f"ordering wwbar > star > w > ghz: {ordered}", worst, 1e-6)
 
 
-def test_criterion_02_w_state_flat_in_common_markov_bath(record_property):
+def test_criterion_02_w_state_flat_in_common_markov_bath(verdict):
     values = coherence_trace(_bath("common", "markov"), StateSpec("w"), np.linspace(0.0, 3.0, 21) / G0)
     dev = float(np.max(np.abs(values - math.log(3.0))))
-    assert _verdict(record_property, 2, dev < 1e-9, f"w coherence constant at ln 3, max dev {dev:.2e}", dev, 1e-9)
+    assert verdict(2, dev < 1e-9, f"w coherence constant at ln 3, max dev {dev:.2e}", dev, 1e-9)
 
 
-def test_criterion_03_wwbar_saturates_at_ln3(record_property):
+def test_criterion_03_wwbar_saturates_at_ln3(verdict):
     rho = propagate_grid(_bath("common", "markov"), make_state(StateSpec("wwbar")), [0.0, 5.0 / G0])[-1]
     value = rel_entropy_coherence(rho)
     dev = abs(value - math.log(3.0))
-    assert _verdict(record_property, 3, dev < 1e-3,
-                    f"wwbar saturation C_R(g0 t = 5) = {value:.6f}, dev from ln 3 {dev:.2e}", dev, 1e-3)
+    assert verdict(3, dev < 1e-3,
+                   f"wwbar saturation C_R(g0 t = 5) = {value:.6f}, dev from ln 3 {dev:.2e}", dev, 1e-3)
 
 
-def test_criterion_04_ghz_common_markov_decay(record_property):
+def test_criterion_04_ghz_common_markov_decay(verdict):
     spec = _bath("common", "markov")
     rho0 = make_state(StateSpec("ghz"))
     early = rel_entropy_coherence(propagate_grid(spec, rho0, [0.0, 0.1 / G0])[-1])
     late = rel_entropy_coherence(propagate_grid(spec, rho0, [0.0, 0.3 / G0])[-1])
     ok = abs(early - 0.0137) < 1e-3 and late < 1e-4
-    assert _verdict(record_property, 4, ok, f"ghz common decay C_R(0.1) = {early:.6f}, C_R(0.3) = {late:.2e}",
-                    late, 1e-4)
+    assert verdict(4, ok, f"ghz common decay C_R(0.1) = {early:.6f}, C_R(0.3) = {late:.2e}",
+                   late, 1e-4)
 
 
-def test_criterion_05_ghz_local_markov_decay(record_property):
+def test_criterion_05_ghz_local_markov_decay(verdict):
     rho = propagate_grid(_bath("local", "markov"), make_state(StateSpec("ghz")), [0.0, 0.5 / G0])[-1]
     value = rel_entropy_coherence(rho)
     ok = abs(value - 1.24e-3) <= 0.1 * 1.24e-3
-    assert _verdict(record_property, 5, ok, f"ghz local decay C_R(0.5) = {value:.4e}, target 1.24e-03 +- 10%",
-                    abs(value - 1.24e-3), 0.1 * 1.24e-3)
+    assert verdict(5, ok, f"ghz local decay C_R(0.5) = {value:.4e}, target 1.24e-03 +- 10%",
+                   abs(value - 1.24e-3), 0.1 * 1.24e-3)
 
 
-def test_criterion_06_ghz_w_mixture_initial_coherences(record_property):
+def test_criterion_06_ghz_w_mixture_initial_coherences(verdict):
     targets = {0.1: 1.0580, 0.5: 0.8959, 0.9: 0.7337}
     devs = {p: abs(rel_entropy_coherence(make_state(StateSpec("ghz-w", p=p))) - c)
             for p, c in targets.items()}
     worst = max(devs.values())
-    assert _verdict(record_property, 6, worst < 1e-4, f"ghz-w initial coherences, worst dev {worst:.2e}", worst, 1e-4)
+    assert verdict(6, worst < 1e-4, f"ghz-w initial coherences, worst dev {worst:.2e}", worst, 1e-4)
 
 
-def test_criterion_07_werner_w_initial_coherences(record_property):
+def test_criterion_07_werner_w_initial_coherences(verdict):
     targets = {0.1: 0.0216, 0.5: 0.3426, 0.9: 0.8973}
     devs = {p: abs(rel_entropy_coherence(make_state(StateSpec("werner-w", p=p))) - c)
             for p, c in targets.items()}
     worst = max(devs.values())
-    assert _verdict(record_property, 7, worst < 1e-4, f"werner-w initial coherences, worst dev {worst:.2e}",
-                    worst, 1e-4)
+    assert verdict(7, worst < 1e-4, f"werner-w initial coherences, worst dev {worst:.2e}",
+                   worst, 1e-4)
 
 
-def test_criterion_08_werner_w_flat_in_common_markov_bath(record_property):
+def test_criterion_08_werner_w_flat_in_common_markov_bath(verdict):
     times = np.linspace(0.0, 3.0, 21) / G0
     worst = 0.0
     for p in (0.1, 0.5, 0.9):
         values = coherence_trace(_bath("common", "markov"), StateSpec("werner-w", p=p), times)
         worst = max(worst, float(np.max(np.abs(values - values[0]))))
-    assert _verdict(record_property, 8, worst < 1e-9, f"werner-w constant under common markov bath, "
-                                                      f"max drift {worst:.2e} over p in {{0.1, 0.5, 0.9}}",
-                    worst, 1e-9)
+    assert verdict(8, worst < 1e-9, f"werner-w constant under common markov bath, "
+                                    f"max drift {worst:.2e} over p in {{0.1, 0.5, 0.9}}",
+                   worst, 1e-9)
 
 
-def test_criterion_09_werner_w_local_markov_decay(record_property):
+def test_criterion_09_werner_w_local_markov_decay(verdict):
     rho0 = make_state(StateSpec("werner-w", p=0.5))
     rho = propagate_grid(_bath("local", "markov"), rho0, [0.0, 0.5 / G0])[-1]
     value = rel_entropy_coherence(rho)
-    assert _verdict(record_property, 9, value < 0.02, f"werner-w local decay C_R(0.5) = {value:.4e} < 0.02",
-                    value, 0.02)
+    assert verdict(9, value < 0.02, f"werner-w local decay C_R(0.5) = {value:.4e} < 0.02",
+                   value, 0.02)
 
 
-def test_criterion_10_non_markov_preservation(record_property):
+def test_criterion_10_non_markov_preservation(verdict):
     # The 2% bound is held on the state's coherences, the off-diagonal
     # magnitudes |rho_mn|, not on C_R.  C_R is an entropy difference, and the
     # entropy of a fading off-diagonal pair grows like -x ln x, whose slope is
@@ -189,27 +194,27 @@ def test_criterion_10_non_markov_preservation(record_property):
     lower = [r for r in decays if r["markov"][0] < r["non_markov"][0]]
     worst = max(rows, key=lambda r: r["non_markov"][2])
     ok = len(kept) == len(rows) and len(broken) == len(lower) == len(decays) > 0
-    assert _verdict(record_property, 10, ok, f"short-window coherence preservation, memory keeps every "
-                                             f"coherence within 2% in {len(kept)} of {len(rows)} combinations "
-                                             f"(worst {worst['label']} {worst['topology']}: element loss "
-                                             f"{100.0 * worst['non_markov'][2]:.3f}%, C_R drop "
-                                             f"{100.0 * worst['non_markov'][1]:.2f}%); markov breaks 2% in "
-                                             f"{len(broken)} and ends with lower C_R in {len(lower)} of "
-                                             f"{len(decays)} decaying combinations",
-                    worst["non_markov"][2], 0.02)
+    assert verdict(10, ok, f"short-window coherence preservation, memory keeps every "
+                           f"coherence within 2% in {len(kept)} of {len(rows)} combinations "
+                           f"(worst {worst['label']} {worst['topology']}: element loss "
+                           f"{100.0 * worst['non_markov'][2]:.3f}%, C_R drop "
+                           f"{100.0 * worst['non_markov'][1]:.2f}%); markov breaks 2% in "
+                           f"{len(broken)} and ends with lower C_R in {len(lower)} of "
+                           f"{len(decays)} decaying combinations",
+                   worst["non_markov"][2], 0.02)
 
 
-def test_criterion_11_engine_equivalence(record_property, engine_sweep):
+def test_criterion_11_engine_equivalence(verdict, engine_sweep):
     _, sweep = engine_sweep
     worst = 0.0
     for (label, topology, memory), (_, closed, ode) in sweep.items():
         worst = max(worst, float(np.max(np.abs(closed - ode))))
-    assert _verdict(record_property, 11, worst < 1e-6,
-                    f"engine equivalence over {len(sweep)} sweeps x 21 samples, "
-                    f"max elementwise gap {worst:.2e}", worst, 1e-6)
+    assert verdict(11, worst < 1e-6,
+                   f"engine equivalence over {len(sweep)} sweeps x 21 samples, "
+                   f"max elementwise gap {worst:.2e}", worst, 1e-6)
 
 
-def test_criterion_12_structural_invariants(record_property, engine_sweep):
+def test_criterion_12_structural_invariants(verdict, engine_sweep):
     times, sweep = engine_sweep
     worst_herm = worst_trace = worst_eig = worst_diag = 0.0
     for (_, topology, memory), (rho0, closed, ode) in sweep.items():
@@ -237,13 +242,13 @@ def test_criterion_12_structural_invariants(record_property, engine_sweep):
 
     ok = (worst_herm < 1e-6 and worst_trace < 1e-6 and worst_eig > -1e-6
           and worst_diag < 1e-6 and worst_lamb < 1e-12)
-    assert _verdict(record_property, 12, ok, "structural invariants at every sample: "
-                                             f"hermiticity {worst_herm:.1e}, trace {worst_trace:.1e}, "
-                                             f"min eigenvalue {worst_eig:.1e}, diagonal drift {worst_diag:.1e}, "
-                                             f"lamb-phase C_R residual {worst_lamb:.1e}", worst_lamb, 1e-12)
+    assert verdict(12, ok, "structural invariants at every sample: "
+                           f"hermiticity {worst_herm:.1e}, trace {worst_trace:.1e}, "
+                           f"min eigenvalue {worst_eig:.1e}, diagonal drift {worst_diag:.1e}, "
+                           f"lamb-phase C_R residual {worst_lamb:.1e}", worst_lamb, 1e-12)
 
 
-def test_criterion_13_kernel_correctness(record_property):
+def test_criterion_13_kernel_correctness(verdict):
     nm = BathSpec(memory="non_markov")
     mk = BathSpec(memory="markov")
     worst = 0.0
@@ -259,5 +264,5 @@ def test_criterion_13_kernel_correctness(record_property):
     exact = all(kernel_integrals(mk, t)[0] == markov_rate(mk) * t
                 for t in (0.0, 0.7, 2.9, 30.0))
     ok = worst < 0.05 and exact
-    assert _verdict(record_property, 13, ok, f"closed-form kernels vs flat-coth forms, worst rel dev "
-                                             f"{worst:.2e}; markov cumulative exactly linear: {exact}", worst, 0.05)
+    assert verdict(13, ok, f"closed-form kernels vs flat-coth forms, worst rel dev "
+                           f"{worst:.2e}; markov cumulative exactly linear: {exact}", worst, 0.05)
